@@ -5,7 +5,8 @@ reports, spectrum sampling, matrix-geometry verification, the particle
 flow, and the equilibrium solver.  Reports are JSON (CSV for the two
 bulk-data commands), always embedding the parsed configuration, the
 seed, and the package version, so a run can be reproduced from its own
-output.  Infinities are serialized as the strings "inf" and "-inf".
+output.  Infinities are serialized as the strings "inf" and "-inf"; a
+NaN anywhere in a report is a numerical failure, and nothing is written.
 
 Exit status: 0 on success, 1 when the input fails validation, 2 when a
 computation fails numerically.
@@ -67,17 +68,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _sanitize(value):
-    """Make a report JSON-safe: infinities and NaN become strings."""
+def _sanitize(value, where: str = "report"):
+    """Make a report JSON-safe: infinities become strings, NaN is refused."""
     if isinstance(value, dict):
-        return {key: _sanitize(inner) for key, inner in value.items()}
+        return {key: _sanitize(inner, f"{where}.{key}") for key, inner in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_sanitize(inner) for inner in value]
+        return [_sanitize(inner, f"{where}[{i}]") for i, inner in enumerate(value)]
     if hasattr(value, "tolist"):
-        return _sanitize(value.tolist())
+        return _sanitize(value.tolist(), where)
     if isinstance(value, float):
         if math.isnan(value):
-            return "nan"
+            raise NumericalError(f"{where} is NaN")
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
     return value
@@ -127,6 +128,8 @@ def _emit_csv(header: list[str], rows, config: RunConfig) -> None:
 
 def _format_cell(cell) -> str:
     if isinstance(cell, float):
+        if math.isnan(cell):
+            raise NumericalError("a report cell is NaN")
         return repr(cell)
     return str(cell)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DensitySpec, density_transport
+from .densities import DensitySpec, TransportData, density_transport
 from .entropy import chi_proj, relative_sigma_h
 from .errors import ValidationError
 from .grids import QuadratureGrid, resolution
@@ -128,20 +128,40 @@ def hilbert_transform(
     return GridFunction(td.x, td.hf, td.w_dx)
 
 
+def _transport(law: ProjectionPairLaw, m: int) -> tuple[TransportData | None, str | None]:
+    """The density's transport data, or None and the reason phi is +inf."""
+    if not law.generic:
+        return None, "the atom pattern is not in generic position"
+    report = check_integrability(law, m)
+    if not report.passed:
+        if not report.singular_moment_finite:
+            return None, "the singular moment of the density diverges"
+        return None, "the density is not cube integrable against the weight x(1-x)"
+    return density_transport(law.density, m), None
+
+
 def _drifted_norm(
-    law: ProjectionPairLaw, m: int, shift
+    law: ProjectionPairLaw, td: TransportData | None, shift
 ) -> tuple[GridFunction, float]:
-    """Drift phi minus an optional shift, and its squared weighted norm."""
-    td = density_transport(law.density, m)
-    if td.x.size == 0:
+    """Drift phi minus an optional shift, and its squared weighted norm.
+
+    Without transport data (an obstruction found by _transport) the drift
+    is empty and the norm +inf.
+    """
+    if td is None or td.x.size == 0:
         empty = np.zeros(0)
-        return GridFunction(empty, empty, empty), 0.0
+        return GridFunction(empty, empty, empty), (math.inf if td is None else 0.0)
     drift = td.hf + law.coeff_at_0 / td.x - law.coeff_at_1 / (1.0 - td.x)
     if shift is not None:
         drift = drift - shift(td.x)
     weight = td.x * (1.0 - td.x)
     value = float(np.sum(td.w_dnu * drift**2 * weight))
     return GridFunction(td.x, drift, td.w_dx), value
+
+
+def _fisher_report(law: ProjectionPairLaw, td: TransportData | None, cause) -> FisherReport:
+    phi, value = _drifted_norm(law, td, None)
+    return FisherReport(phi, value, td is not None, cause)
 
 
 def phi_star(
@@ -155,21 +175,7 @@ def phi_star(
     +inf outside generic position or when an integrability precondition
     fails.
     """
-    m = resolution(grid)
-    empty = GridFunction(np.zeros(0), np.zeros(0), np.zeros(0))
-    if not law.generic:
-        return FisherReport(
-            empty, math.inf, False, "the atom pattern is not in generic position"
-        )
-    report = check_integrability(law, m)
-    if not report.passed:
-        if not report.singular_moment_finite:
-            cause = "the singular moment of the density diverges"
-        else:
-            cause = "the density is not cube integrable against the weight x(1-x)"
-        return FisherReport(empty, math.inf, False, cause)
-    phi, value = _drifted_norm(law, m, None)
-    return FisherReport(phi, value, True)
+    return _fisher_report(law, *_transport(law, resolution(grid)))
 
 
 def relative_phi_h(
@@ -184,13 +190,8 @@ def relative_phi_h(
     vanish on its support.  Returns +inf under the same obstructions as
     phi_star.
     """
-    m = resolution(grid)
-    if not law.generic:
-        return math.inf
-    if not check_integrability(law, m).passed:
-        return math.inf
-    _, value = _drifted_norm(law, m, h.dvalue)
-    return value
+    td, _ = _transport(law, resolution(grid))
+    return _drifted_norm(law, td, h.dvalue)[1]
 
 
 def check_lsi(
@@ -217,7 +218,8 @@ def check_lsi(
     """
     m = resolution(grid)
     ent = chi_proj(law, m)
-    fr = phi_star(law, m)
+    td, cause = _transport(law, m)
+    fr = _fisher_report(law, td, cause)
     vacuous = not math.isfinite(ent.chi)
     if math.isfinite(ent.chi) and math.isfinite(fr.phi_star):
         margin = fr.phi_star + ent.chi
@@ -226,7 +228,7 @@ def check_lsi(
     if h is None:
         return LsiReport(ent.chi, fr.phi_star, margin, vacuous)
     sigma_h = relative_sigma_h(law, h, m)
-    phi_h = relative_phi_h(law, h, m)
+    _, phi_h = _drifted_norm(law, td, h.dvalue)
     norm_h = h.sup_norm("h")
     norm_dh = h.sup_norm("dh")
     norm_d2h = h.sup_norm("d2h")

@@ -88,6 +88,22 @@ def test_numerical_failure_exits_two(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_nan_in_report_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    import liberlab.fisher as fisher
+
+    def nan_report(law, h, c1, c2, grid):
+        return fisher.LsiReport(chi=-0.1, phi_star=float("nan"), margin=float("nan"), vacuous=False)
+
+    monkeypatch.setattr(fisher, "check_lsi", nan_report)
+    out = tmp_path / "lsi.json"
+    code, _, err = run(capsys, "lsi", "--law", UNIFORM, "--out", str(out))
+    assert code == 2
+    assert "NaN" in err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(NumericalError):
+        cli._format_cell(float("nan"))
+
+
 def test_sample_csv_shape(tmp_path, capsys):
     out = tmp_path / "spectra.csv"
     code, stdout, _ = run(

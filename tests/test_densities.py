@@ -1,11 +1,14 @@
 """Density layer: masses, moments, logarithmic functionals, transport."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liberlab.densities import (
+    _smooth_derivative,
     arcsine_density,
     cheb_density,
     density_cdf,
@@ -24,6 +27,8 @@ from liberlab.densities import (
     zero_density,
 )
 from liberlab.errors import ValidationError
+
+from conftest import random_generic_law
 
 M = 2048
 
@@ -118,6 +123,44 @@ def test_transport_weights_and_arcsine_identity():
     tb = density_transport(bump, M)
     assert np.sum(tb.w_dnu) == pytest.approx(bump.mass, rel=1e-5)
     assert np.all(np.diff(tb.x) > 0)
+
+
+def dense_transform(d, x, w):
+    """Singularity-subtracted Hilbert transform as one dense sum per row."""
+    a, b = d.support
+    f = density_values(d, x)
+    hf = f * np.log((x - a) / (b - x)) - w * _smooth_derivative(d)(x)
+    for i in range(x.size):
+        diff = x[i] - x
+        quot = np.zeros_like(diff)
+        np.divide(f - f[i], diff, out=quot, where=diff != 0.0)
+        hf[i] += quot @ w
+    return hf
+
+
+@pytest.mark.parametrize("m", [100, 1024, 4096])
+def test_smooth_transport_matches_dense_sum(m):
+    laws = [
+        random_generic_law(np.random.default_rng(11)).density,
+        uniform_density(1.0),
+        uniform_density(0.5, (0.2, 0.7)),
+    ]
+    for d in laws:
+        td = density_transport(d, m)
+        oracle = dense_transform(d, td.x, td.w_dx)
+        assert np.max(np.abs(td.hf - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_smooth_transport_memory_is_blocked():
+    d = random_generic_law(np.random.default_rng(11)).density
+    tracemalloc.start()
+    try:
+        td = density_transport(d, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert td.x.size > 4096
+    assert peak < 16 * 2**20
 
 
 def test_cdf_quantile_round_trip():
