@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from liberlab.grids import DEFAULT_GRID
 from liberlab.laws import load_law
 from liberlab.liberation import flow_diagnostics, flow_evolve, init_flow
 
@@ -35,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument("--law", default=None, help="law file (default: uniform)")
     parser.add_argument("--particles", type=int, default=256)
     parser.add_argument("--tmax", type=float, default=8.0)
-    parser.add_argument("--grid", type=int, default=None)
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID)
     parser.add_argument("--dt-max", type=float, default=0.02)
     parser.add_argument("--out", default=None, help="CSV of the full trajectory")
     args = parser.parse_args(argv)
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
     law = load_law(args.law) if args.law else load_law(UNIFORM_LAW)
     state = init_flow(law, args.particles, args.grid)
     state = flow_evolve(state, args.tmax, dt_max=args.dt_max)
-    diag = flow_diagnostics(state, args.grid)
+    diag = flow_diagnostics(state)
 
     checkpoints = np.unique(np.searchsorted(diag.t, np.geomspace(1e-2, args.tmax, 12)))
     checkpoints = checkpoints[checkpoints < diag.t.size]

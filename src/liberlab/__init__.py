@@ -14,12 +14,6 @@ _EXPORTS = {
     # errors
     "ValidationError": "errors",
     "NumericalError": "errors",
-    # grids
-    "QuadratureGrid": "grids",
-    "make_grid": "grids",
-    "chebyshev_grid": "grids",
-    "legendre_grid": "grids",
-    "resolution": "grids",
     # densities
     "DensitySpec": "densities",
     "zero_density": "densities",

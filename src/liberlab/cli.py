@@ -142,6 +142,12 @@ def _load_law(config: RunConfig):
     return load_law(config.law)
 
 
+def _grid(config: RunConfig) -> int:
+    from .grids import DEFAULT_GRID
+
+    return DEFAULT_GRID if config.grid is None else config.grid
+
+
 def _load_potential(config: RunConfig):
     from .potentials import load_potential, zero_potential
 
@@ -154,7 +160,7 @@ def _cmd_chi(config: RunConfig) -> None:
     from .entropy import chi_proj
 
     law = _load_law(config)
-    report = chi_proj(law, config.grid)
+    report = chi_proj(law, _grid(config))
     _emit_json(
         {
             "chi": report.chi,
@@ -174,7 +180,7 @@ def _cmd_fisher(config: RunConfig) -> None:
     from .fisher import phi_star
 
     law = _load_law(config)
-    report = phi_star(law, config.grid)
+    report = phi_star(law, _grid(config))
     _emit_json(
         {
             "phi_star": report.phi_star,
@@ -194,7 +200,9 @@ def _cmd_lsi(config: RunConfig) -> None:
     h = load_potential(config.h) if config.h is not None else None
     c1 = 1.0 if config.c1 is None else config.c1
     c2 = 1.0 if config.c2 is None else config.c2
-    report = check_lsi(law, h, c1, c2, config.grid)
+    report = check_lsi(law, h, c1, c2, _grid(config))
+    if report.equilibrium_converged is False:
+        raise NumericalError("the h-tilted equilibrium solve behind sigma_h did not converge")
     _emit_json(asdict(report), config)
 
 
@@ -223,7 +231,8 @@ def _cmd_lsi_matrix(config: RunConfig) -> None:
     if config.psi is None:
         raise ValidationError("lsi-matrix needs --psi (the comparison needs a tilt)")
     spec = EnsembleSpec(config.N, config.k, config.l, parse_psi(config.psi))
-    report = lsi_matrix_report(spec, config.grid, config.seed)
+    grid = {} if config.grid is None else {"grid": config.grid}
+    report = lsi_matrix_report(spec, seed=config.seed, **grid)
     _emit_json(asdict(report), config)
 
 
@@ -303,9 +312,9 @@ def _cmd_liberate(config: RunConfig) -> None:
     law = _load_law(config)
     n = config.particles or 512
     t_max = config.tmax if config.tmax is not None else 20.0
-    state = init_flow(law, n, config.grid)
+    state = init_flow(law, n, _grid(config))
     state = flow_evolve(state, t_max)
-    diag = flow_diagnostics(state, config.grid)
+    diag = flow_diagnostics(state)
     rows = zip(
         (float(v) for v in diag.t),
         (float(v) for v in diag.chi),
@@ -323,7 +332,7 @@ def _cmd_equilibrium(config: RunConfig) -> None:
 
     law = _load_law(config)
     h = _load_potential(config)
-    result = equilibrium_solve(law.alpha, law.beta, h, config.grid)
+    result = equilibrium_solve(law.alpha, law.beta, h, _grid(config))
     if result.rho > 0.0:
         levels = result.density.mass * (np.arange(101) + 0.5) / 101
         quantiles = [float(q) for q in density_quantiles(result.density, levels)]
@@ -354,7 +363,7 @@ def _cmd_istar(config: RunConfig) -> None:
     law = _load_law(config)
     n = config.particles or 512
     t_max = config.tmax if config.tmax is not None else 20.0
-    report = istar(law, n, t_max, config.grid)
+    report = istar(law, n, t_max, _grid(config))
     _emit_json(
         {
             "istar": report.value,
@@ -390,7 +399,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--law", help="law file (JSON)")
     parser.add_argument("--h", help="potential file (JSON)")
     parser.add_argument("--psi", help="matrix test function, poly:c0,c1,...")
-    parser.add_argument("--grid", type=int, help="quadrature resolution")
+    parser.add_argument("--grid", type=int, help="quadrature resolution (a positive int)")
     parser.add_argument("--N", type=int, help="matrix dimension")
     parser.add_argument("--k", type=int, help="first rank")
     parser.add_argument("--l", type=int, help="second rank")
@@ -408,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     _cap_threads()
     try:
         args = _build_parser().parse_args(argv)
+        if args.grid is not None and args.grid < 1:
+            raise ValidationError(f"--grid must be a positive integer, got {args.grid}")
         config = RunConfig(
             command=args.command,
             law=args.law,

@@ -46,7 +46,7 @@ from .chebyshev import (
     sine_series_at_angles,
 )
 from .errors import ValidationError
-from .grids import graded_panels
+from .grids import graded_legendre
 
 __all__ = [
     "DensitySpec",
@@ -335,18 +335,6 @@ def _smooth_derivative(d: DensitySpec) -> Callable[[np.ndarray], np.ndarray]:
     return fp
 
 
-def _graded_window(d: DensitySpec, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Graded Gauss-Legendre nodes and dx-weights on the support window."""
-    a, b, _, _ = _window(d)
-    breaks = a + (b - a) * graded_panels(m)
-    per = max(8, int(np.ceil(m / (breaks.size - 1))))
-    pts, wts = np.polynomial.legendre.leggauss(per)
-    lo = breaks[:-1][:, None]
-    hi = breaks[1:][:, None]
-    half = 0.5 * (hi - lo)
-    return (0.5 * (hi + lo) + half * pts[None, :]).ravel(), (half * wts[None, :]).ravel()
-
-
 # ---------------------------------------------------------------------------
 # evaluation and quadrature
 
@@ -438,7 +426,7 @@ def density_log_moments(d: DensitySpec, m: int) -> tuple[float, float]:
         else:
             log_1mx = float(np.pi / m * np.dot(g, np.log1p(-x_theta)))
         return float(log_x), float(log_1mx)
-    x, w = _graded_window(d, m)
+    x, w = graded_legendre(m, *d.support)
     fw = _smooth_callable(d)(x) * w
     return float(np.dot(fw, np.log(x))), float(np.dot(fw, np.log1p(-x)))
 
@@ -450,7 +438,7 @@ def density_integrate(d: DensitySpec, fn: Callable[[np.ndarray], np.ndarray], m:
     if d.kind in _SQRT_KINDS:
         _, x_theta = _theta_nodes(d, m)
         return float(np.pi / m * np.dot(_window_g(d, m), np.asarray(fn(x_theta), dtype=float)))
-    x, w = _graded_window(d, m)
+    x, w = graded_legendre(m, *d.support)
     return float(np.dot(w * _smooth_callable(d)(x), np.asarray(fn(x), dtype=float)))
 
 
@@ -477,7 +465,7 @@ def density_weighted_p_norm(d: DensitySpec, p: float, m: int) -> float:
             np.abs(g) ** p * (half * np.sin(theta)) ** (1.0 - p) * x_theta * (1.0 - x_theta)
         )
         return float((np.pi / m * np.sum(integrand)) ** (1.0 / p))
-    x, w = _graded_window(d, m)
+    x, w = graded_legendre(m, *d.support)
     f = _smooth_callable(d)(x)
     return float(np.dot(w, np.abs(f) ** p * x * (1.0 - x)) ** (1.0 / p))
 
@@ -533,7 +521,7 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
         return TransportData(
             x_theta[::-1].copy(), w_dx[::-1].copy(), w_dnu[::-1].copy(), hf[::-1].copy()
         )
-    x, w = _graded_window(d, m)
+    x, w = graded_legendre(m, *d.support)
     f = _smooth_callable(d)(x)
     fp = _smooth_derivative(d)(x)
     hf = f * np.log((x - a) / (b - x)) - w * fp
@@ -566,7 +554,7 @@ def _cdf_table(d: DensitySpec, m: int = 8192) -> tuple[np.ndarray, np.ndarray]:
         x = x_theta[::-1]
         mass = masses[::-1]
     else:
-        x, w = _graded_window(d, m)
+        x, w = graded_legendre(m, *d.support)
         mass = w * _smooth_callable(d)(x)
     cum = np.cumsum(mass)
     return x, cum - 0.5 * mass

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import NumericalError, ValidationError
-from .grids import resolution
 
 __all__ = [
     "EnsembleSpec",
@@ -407,7 +406,7 @@ class MatrixLsiReport:
 
 def lsi_matrix_report(
     spec: EnsembleSpec,
-    grid=None,
+    grid: int = 96,
     seed=0,
     count: int = 4000,
 ) -> MatrixLsiReport:
@@ -415,8 +414,9 @@ def lsi_matrix_report(
 
     entropy = log Z0 - log Zpsi - N E[sum psi]; the Dirichlet side is
     2N E[sum psi'(x_i)^2 x_i(1-x_i)].  Normalization constants come from
-    tensor quadrature when the model has at most three free points and
-    from thermodynamic integration otherwise; expectations always come
+    tensor quadrature (grid Gauss-Legendre nodes per axis, at most 256)
+    when the model has at most three free points and from
+    thermodynamic integration otherwise; expectations always come
     from the Metropolis chain, so the margin carries a standard error.
     Both per-sample statistics are combined into one margin series
     before the error is estimated, since they share the chain.
@@ -424,11 +424,10 @@ def lsi_matrix_report(
     if spec.psi is None:
         raise ValidationError("the comparison needs a tilt; the untilted gap is zero")
     _, _, n = spec.counts
-    nodes = resolution(grid, default=96)
     log_z0 = selberg_log_z0(spec)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n <= 3:
-        log_z_psi = log_z_quadrature(spec, nodes=min(nodes, 256))
+        log_z_psi = log_z_quadrature(spec, nodes=min(grid, 256))
         log_z_se = 0.0
         mode = "quadrature"
     else:

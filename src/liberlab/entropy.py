@@ -30,7 +30,7 @@ from .densities import (
     zero_density,
 )
 from .errors import ValidationError
-from .grids import QuadratureGrid, resolution
+from .grids import DEFAULT_GRID
 from .laws import ProjectionPairLaw, generic_atoms
 from .potentials import PotentialSpec, zero_potential
 
@@ -89,9 +89,9 @@ def constant_C(law: ProjectionPairLaw) -> tuple[float, float]:
     return _constant_from_traces(law.alpha, law.beta)
 
 
-def log_energy(density: DensitySpec, grid: QuadratureGrid | int | None = None) -> float:
+def log_energy(density: DensitySpec, grid: int = DEFAULT_GRID) -> float:
     """Logarithmic energy Sigma = double integral of log|x-y| against the density."""
-    return density_log_energy(density, resolution(grid))
+    return density_log_energy(density, grid)
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,11 @@ class EntropyReport:
     cause: str | None = None
 
 
-def chi_proj(law: ProjectionPairLaw, grid: QuadratureGrid | int | None = None) -> EntropyReport:
+def chi_proj(law: ProjectionPairLaw, grid: int = DEFAULT_GRID) -> EntropyReport:
     """Free entropy of a two-projection law."""
-    m = resolution(grid)
     rho, c_const = constant_C(law)
-    sigma = density_log_energy(law.density, m)
-    lm0, lm1 = density_log_moments(law.density, m)
+    sigma = density_log_energy(law.density, grid)
+    lm0, lm1 = density_log_moments(law.density, grid)
     if not law.generic:
         return EntropyReport(
             sigma, lm0, lm1, rho, c_const, float("-inf"), False,
@@ -141,7 +140,7 @@ def rate_function(
     F: Callable[[np.ndarray], np.ndarray],
     rho: float,
     Cprime: float,
-    grid: QuadratureGrid | int | None = None,
+    grid: int = DEFAULT_GRID,
 ) -> float:
     """Large-deviation rate I(mu) = -rho^2 Sigma(mu) + rho^2 int F dmu + Cprime.
 
@@ -152,11 +151,10 @@ def rate_function(
         raise ValidationError("rate_function expects a probability density")
     if rho == 0.0:
         return float(Cprime)
-    m = resolution(grid)
-    sigma = density_log_energy(mu, m)
+    sigma = density_log_energy(mu, grid)
     if not np.isfinite(sigma):
         return float("inf")
-    mean_f = density_integrate(mu, F, m)
+    mean_f = density_integrate(mu, F, grid)
     if not np.isfinite(mean_f):
         return float("inf")
     return float(-rho * rho * sigma + rho * rho * mean_f + Cprime)
@@ -351,7 +349,7 @@ def equilibrium_solve(
     alpha: float,
     beta: float,
     h: PotentialSpec | None = None,
-    grid: QuadratureGrid | int | None = None,
+    grid: int = DEFAULT_GRID,
     *,
     tol: float = 1e-6,
     max_iter: int = 4000,
@@ -375,7 +373,7 @@ def equilibrium_solve(
     h = h or zero_potential()
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValidationError("traces must lie in [0,1]")
-    m = resolution(grid)
+    m = grid
     atoms = generic_atoms(alpha, beta)
     rho = _rho_of(alpha, beta)
     coeff0 = atoms["a01"] + atoms["a10"]
@@ -478,25 +476,35 @@ def equilibrium_field(
 
 
 def tau_of_potential(
-    law: ProjectionPairLaw, h: PotentialSpec, grid: QuadratureGrid | int | None = None
+    law: ProjectionPairLaw, h: PotentialSpec, grid: int = DEFAULT_GRID
 ) -> float:
     """Trace of the potential: atom term plus half the density integral of h."""
     if h.kind == "zero":
         return 0.0
     av = h.atom_values
     atom_term = law.a10 * av[0] + law.a01 * av[1] + law.a11 * av[2] + law.a00 * av[3]
-    return float(atom_term + 0.5 * density_integrate(law.density, h.value, resolution(grid)))
+    return float(atom_term + 0.5 * density_integrate(law.density, h.value, grid))
 
 
 def relative_sigma_h(
     law: ProjectionPairLaw,
     h: PotentialSpec | None = None,
-    grid: QuadratureGrid | int | None = None,
+    grid: int = DEFAULT_GRID,
 ) -> float:
     """Relative free entropy -chi + tau(h) + B_h; nonnegative, zero at the maximizer."""
     h = h or zero_potential()
-    report = chi_proj(law, grid)
-    if report.chi == float("-inf"):
-        return float("inf")
+    return _relative_sigma(law, h, chi_proj(law, grid).chi, grid)[0]
+
+
+def _relative_sigma(
+    law: ProjectionPairLaw, h: PotentialSpec, chi: float, grid: int
+) -> tuple[float, bool | None]:
+    """sigma_h of a law with known entropy chi, and the converged flag of the
+    h-tilted equilibrium solve behind B_h.
+
+    chi = -inf gives (inf, None) without solving.
+    """
+    if chi == float("-inf"):
+        return float("inf"), None
     result = equilibrium_solve(law.alpha, law.beta, h, grid)
-    return float(-report.chi + tau_of_potential(law, h, grid) + result.B_h)
+    return float(-chi + tau_of_potential(law, h, grid) + result.B_h), result.converged

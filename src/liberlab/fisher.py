@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import DensitySpec, TransportData, density_transport
-from .entropy import chi_proj, relative_sigma_h
+# relative_sigma_h stays importable from here, where perfbench/tracing.py
+# times it; check_lsi reuses its own chi through _relative_sigma instead.
+from .entropy import _relative_sigma, chi_proj, relative_sigma_h  # noqa: F401
 from .errors import ValidationError
-from .grids import QuadratureGrid, resolution
+from .grids import DEFAULT_GRID
 from .laws import ProjectionPairLaw, check_integrability, weighted_norm
 from .potentials import PotentialSpec
 
@@ -85,8 +87,10 @@ class LsiReport:
     relative fields are populated: sigma_h and phi_h are the relative
     entropy and relative Fisher information, factor is the constant
     1/(1 - c1*|dh|_inf - c2*|d2h|_inf), and relative_margin is
-    factor*phi_h - sigma_h.  vacuous flags laws whose entropy is -inf,
-    for which the plain inequality carries no content.
+    factor*phi_h - sigma_h.  equilibrium_converged records whether the
+    h-tilted equilibrium solve behind sigma_h converged (None when it
+    did not run).  vacuous flags laws whose entropy is -inf, for which
+    the plain inequality carries no content.
     """
 
     chi: float
@@ -103,10 +107,11 @@ class LsiReport:
     factor: float | None = None
     relative_margin: float | None = None
     smallness_ok: bool | None = None
+    equilibrium_converged: bool | None = None
 
 
 def hilbert_transform(
-    f: DensitySpec, grid: QuadratureGrid | int | None = None
+    f: DensitySpec, grid: int = DEFAULT_GRID
 ) -> GridFunction:
     """Principal-value transform Hf(x) = pv integral f(t)/(x-t) dt.
 
@@ -119,12 +124,11 @@ def hilbert_transform(
     The density must be cube integrable against x(1-x) dx; that is the
     norm in which the discretized transform converges under refinement.
     """
-    m = resolution(grid)
-    if f.kind != "zero" and f.mass > 0.0 and not math.isfinite(weighted_norm(f, 3, m)):
+    if f.kind != "zero" and f.mass > 0.0 and not math.isfinite(weighted_norm(f, 3, grid)):
         raise ValidationError(
             "the density is not cube integrable against the weight x(1-x)"
         )
-    td = density_transport(f, m)
+    td = density_transport(f, grid)
     return GridFunction(td.x, td.hf, td.w_dx)
 
 
@@ -165,7 +169,7 @@ def _fisher_report(law: ProjectionPairLaw, td: TransportData | None, cause) -> F
 
 
 def phi_star(
-    law: ProjectionPairLaw, grid: QuadratureGrid | int | None = None
+    law: ProjectionPairLaw, grid: int = DEFAULT_GRID
 ) -> FisherReport:
     """Mutual Fisher information: the weighted square norm of the drift.
 
@@ -175,13 +179,13 @@ def phi_star(
     +inf outside generic position or when an integrability precondition
     fails.
     """
-    return _fisher_report(law, *_transport(law, resolution(grid)))
+    return _fisher_report(law, *_transport(law, grid))
 
 
 def relative_phi_h(
     law: ProjectionPairLaw,
     h: PotentialSpec,
-    grid: QuadratureGrid | int | None = None,
+    grid: int = DEFAULT_GRID,
 ) -> float:
     """Relative Fisher information: drift shifted by the tilt derivative.
 
@@ -190,7 +194,7 @@ def relative_phi_h(
     vanish on its support.  Returns +inf under the same obstructions as
     phi_star.
     """
-    td, _ = _transport(law, resolution(grid))
+    td, _ = _transport(law, grid)
     return _drifted_norm(law, td, h.dvalue)[1]
 
 
@@ -199,7 +203,7 @@ def check_lsi(
     h: PotentialSpec | None = None,
     c1: float = 1.0,
     c2: float = 1.0,
-    grid: QuadratureGrid | int | None = None,
+    grid: int = DEFAULT_GRID,
 ) -> LsiReport:
     """Evaluate the entropy-Fisher inequality, plain or tilted.
 
@@ -216,9 +220,8 @@ def check_lsi(
     sup norms of the tilt are included so the reader can judge how close
     the hypothesis is to its boundary.
     """
-    m = resolution(grid)
-    ent = chi_proj(law, m)
-    td, cause = _transport(law, m)
+    ent = chi_proj(law, grid)
+    td, cause = _transport(law, grid)
     fr = _fisher_report(law, td, cause)
     vacuous = not math.isfinite(ent.chi)
     if math.isfinite(ent.chi) and math.isfinite(fr.phi_star):
@@ -227,7 +230,7 @@ def check_lsi(
         margin = math.inf
     if h is None:
         return LsiReport(ent.chi, fr.phi_star, margin, vacuous)
-    sigma_h = relative_sigma_h(law, h, m)
+    sigma_h, converged = _relative_sigma(law, h, ent.chi, grid)
     _, phi_h = _drifted_norm(law, td, h.dvalue)
     norm_h = h.sup_norm("h")
     norm_dh = h.sup_norm("dh")
@@ -254,4 +257,5 @@ def check_lsi(
         factor=factor,
         relative_margin=relative_margin,
         smallness_ok=smallness_ok,
+        equilibrium_converged=converged,
     )

@@ -1,80 +1,25 @@
-"""Quadrature grids on (0,1).
+"""The quadrature rule behind every smooth-density functional.
 
-Two rules are provided.  The chebyshev grid places nodes at the images
-of Gauss-Chebyshev angles and carries Fejer weights, which are positive
-and integrate dx-polynomials exactly; it is the natural carrier for
-densities with inverse-square-root edges.  The legendre grid is a
-composite Gauss-Legendre rule whose panels shrink geometrically toward
-both endpoints, so plain weighted sums remain accurate for integrands
-with integrable logarithmic or power singularities at 0 and 1.
+Every compute function takes its resolution as one positive int,
+``grid``, defaulting to DEFAULT_GRID.  For square-root-window densities
+it is the number of Gauss-Chebyshev angles; for smooth densities and
+plain callables it sizes the composite Gauss-Legendre rule below.
 
-Both grids satisfy the same contract: strictly increasing nodes inside
-(0,1), strictly positive weights, and sum(weights) = 1 to near machine
-precision.
+graded_legendre places Gauss-Legendre panels on a window [a, b] whose
+breakpoints shrink geometrically toward both ends (graded_panels), so
+plain weighted sums stay accurate for integrands with integrable
+logarithmic or power singularities at the window ends.  Its nodes are
+strictly increasing inside (a, b) and its weights are positive and sum
+to b - a up to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.fft import dct
 
-from .chebyshev import gc_angles
-from .errors import ValidationError
+__all__ = ["DEFAULT_GRID", "graded_panels", "graded_legendre"]
 
-__all__ = ["QuadratureGrid", "chebyshev_grid", "legendre_grid", "make_grid", "graded_panels", "resolution"]
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Nodes and weights for integration against dx on (0,1)."""
-
-    kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValidationError("nodes and weights must be 1-d arrays of equal length")
-        if nodes.size and (nodes[0] <= 0.0 or nodes[-1] >= 1.0):
-            raise ValidationError("grid nodes must lie strictly inside (0,1)")
-        if nodes.size and np.any(np.diff(nodes) <= 0.0):
-            raise ValidationError("grid nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
-            raise ValidationError("grid weights must be strictly positive")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def size(self) -> int:
-        return int(self.nodes.size)
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum approximating the dx-integral of samples at the nodes."""
-        return float(np.dot(self.weights, values))
-
-
-def _fejer_weights(m: int) -> np.ndarray:
-    """Fejer first-rule weights at the Gauss-Chebyshev nodes on [-1,1]."""
-    v = np.zeros(m)
-    v[0] = 1.0
-    even = np.arange(2, m, 2)
-    v[even] = -1.0 / (even * even - 1.0)
-    # dct type 3 evaluates v[0] + 2*sum_{n>=1} v[n] cos(n*theta_j).
-    return (2.0 / m) * dct(v, type=3)
-
-
-def chebyshev_grid(m: int) -> QuadratureGrid:
-    """Gauss-Chebyshev nodes mapped to (0,1) with Fejer dx-weights."""
-    theta = gc_angles(m)
-    x = 0.5 * (1.0 + np.cos(theta))
-    w = 0.5 * _fejer_weights(m)
-    return QuadratureGrid("chebyshev", x[::-1].copy(), w[::-1].copy())
+DEFAULT_GRID = 2048
 
 
 def graded_panels(size: int) -> np.ndarray:
@@ -90,32 +35,12 @@ def graded_panels(size: int) -> np.ndarray:
     return np.concatenate((left, right[1:]))
 
 
-def legendre_grid(m: int) -> QuadratureGrid:
-    """Composite Gauss-Legendre rule on (0,1), graded toward the endpoints."""
-    breaks = graded_panels(m)
-    panels = breaks.size - 1
-    per = max(8, int(np.ceil(m / panels)))
+def graded_legendre(m: int, a: float = 0.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and dx-weights on [a, b], graded toward both ends."""
+    breaks = a + (b - a) * graded_panels(m)
+    per = max(8, int(np.ceil(m / (breaks.size - 1))))
     pts, wts = np.polynomial.legendre.leggauss(per)
     lo = breaks[:-1][:, None]
     hi = breaks[1:][:, None]
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo) + half * pts[None, :]).ravel()
-    weights = (half * wts[None, :]).ravel()
-    return QuadratureGrid("legendre", nodes, weights)
-
-
-def make_grid(size: int, kind: str = "chebyshev") -> QuadratureGrid:
-    if kind == "chebyshev":
-        return chebyshev_grid(size)
-    if kind == "legendre":
-        return legendre_grid(size)
-    raise ValidationError(f"unknown grid kind {kind!r}")
-
-
-def resolution(grid, default: int = 2048) -> int:
-    """Resolution carried by a grid argument: a QuadratureGrid, an int, or None."""
-    if grid is None:
-        return default
-    if isinstance(grid, QuadratureGrid):
-        return grid.size
-    return int(grid)
+    return (0.5 * (hi + lo) + half * pts[None, :]).ravel(), (half * wts[None, :]).ravel()

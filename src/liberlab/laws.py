@@ -27,7 +27,7 @@ from .densities import (
     zero_density,
 )
 from .errors import ValidationError
-from .grids import QuadratureGrid, resolution
+from .grids import DEFAULT_GRID, graded_legendre
 
 __all__ = [
     "ProjectionPairLaw",
@@ -274,7 +274,7 @@ def law_to_dict(law: ProjectionPairLaw) -> dict:
 def integrate_against(
     law: ProjectionPairLaw | DensitySpec,
     g: Callable[[np.ndarray], np.ndarray],
-    grid: QuadratureGrid | int | None = None,
+    grid: int = DEFAULT_GRID,
 ) -> float:
     """Integral of g against the continuous part nu of the law.
 
@@ -283,46 +283,34 @@ def integrate_against(
     is integrated by the density's native quadrature.
     """
     d = law.density if isinstance(law, ProjectionPairLaw) else law
-    m = resolution(grid)
     if g in (log_x, np.log):
-        return density_log_moments(d, m)[0]
+        return density_log_moments(d, grid)[0]
     if g is log_one_minus_x:
-        return density_log_moments(d, m)[1]
-    return density_integrate(d, g, m)
+        return density_log_moments(d, grid)[1]
+    return density_integrate(d, g, grid)
 
 
 def weighted_norm(
-    f,
+    f: DensitySpec | Callable[[np.ndarray], np.ndarray],
     p: float,
-    grid: QuadratureGrid | int | None = None,
+    grid: int = DEFAULT_GRID,
 ) -> float:
     """Norm (integral of |f|^p x(1-x) dx)^(1/p) over (0,1).
 
     f may be a DensitySpec (edge singularities are handled and
-    divergence is reported as +inf), an object with nodes/values/weights
-    arrays (integrated on its own nodes), or a plain callable
-    (integrated on the supplied or a default grid).
+    divergence is reported as +inf) or a plain callable, integrated on
+    the graded Gauss-Legendre rule of the given resolution.
     """
     if p < 1:
         raise ValidationError("the weighted norm needs p >= 1")
     if isinstance(f, DensitySpec):
-        return density_weighted_p_norm(f, p, resolution(grid))
-    if hasattr(f, "nodes") and hasattr(f, "values") and hasattr(f, "weights"):
-        x = np.asarray(f.nodes, dtype=float)
-        v = np.asarray(f.values, dtype=float)
-        w = np.asarray(f.weights, dtype=float)
-        return float(np.dot(w, np.abs(v) ** p * x * (1.0 - x)) ** (1.0 / p))
+        return density_weighted_p_norm(f, p, grid)
     if callable(f):
-        if not isinstance(grid, QuadratureGrid):
-            from .grids import make_grid
-
-            grid = make_grid(resolution(grid), "legendre")
-        x = grid.nodes
+        x, w = graded_legendre(grid)
         return float(
-            np.dot(grid.weights, np.abs(np.asarray(f(x), dtype=float)) ** p * x * (1.0 - x))
-            ** (1.0 / p)
+            np.dot(w, np.abs(np.asarray(f(x), dtype=float)) ** p * x * (1.0 - x)) ** (1.0 / p)
         )
-    raise ValidationError("f must be a DensitySpec, a grid function, or a callable")
+    raise ValidationError("f must be a DensitySpec or a callable")
 
 
 @dataclass(frozen=True)
@@ -341,9 +329,8 @@ class IntegrabilityReport:
     passed: bool
 
 
-def check_integrability(law: ProjectionPairLaw, grid: QuadratureGrid | int | None = None) -> IntegrabilityReport:
+def check_integrability(law: ProjectionPairLaw, grid: int = DEFAULT_GRID) -> IntegrabilityReport:
     """Check the singular-moment and weighted-norm preconditions of a law."""
-    m = resolution(grid)
     d = law.density
     coeff0 = law.coeff_at_0
     coeff1 = law.coeff_at_1
@@ -361,9 +348,9 @@ def check_integrability(law: ProjectionPairLaw, grid: QuadratureGrid | int | Non
         moment = 0.0
     else:
         moment = density_integrate(
-            d, lambda x: coeff0 / x + coeff1 / (1.0 - x), m
+            d, lambda x: coeff0 / x + coeff1 / (1.0 - x), grid
         )
-    norm3 = density_weighted_p_norm(d, 3.0, m)
+    norm3 = density_weighted_p_norm(d, 3.0, grid)
     norm3_finite = bool(np.isfinite(norm3))
     return IntegrabilityReport(
         singular_moment=moment,

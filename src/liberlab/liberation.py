@@ -25,7 +25,7 @@ import numpy as np
 from .densities import density_quantiles
 from .entropy import _constant_from_traces, chi_proj
 from .errors import NumericalError, ValidationError
-from .grids import resolution
+from .grids import DEFAULT_GRID
 from .laws import ProjectionPairLaw
 
 __all__ = [
@@ -83,16 +83,22 @@ class FlowState:
 
 def _pairwise_sum(x: np.ndarray, mass: float) -> np.ndarray:
     """Leave-one-out interaction (mass/n) sum_{j != i} 1/(x_i - x_j)."""
-    diff = x[:, None] - x[None, :]
+    diff = np.subtract.outer(x, x)
     np.fill_diagonal(diff, np.inf)
-    return (mass / x.size) * np.sum(1.0 / diff, axis=1)
+    np.reciprocal(diff, out=diff)
+    return (mass / x.size) * np.sum(diff, axis=1)
+
+
+def _velocity(state: FlowState, x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Transport velocity at positions x; h is the pairwise sum at x if known."""
+    if h is None:
+        h = _pairwise_sum(x, state.mass)
+    return x * (1.0 - x) * h + state.coeff_at_0 * (1.0 - x) - state.coeff_at_1 * x
 
 
 def particle_velocity(state: FlowState) -> np.ndarray:
     """Transport velocity of each particle at the current positions."""
-    x = state.particles
-    h = _pairwise_sum(x, state.mass)
-    return x * (1.0 - x) * h + state.coeff_at_0 * (1.0 - x) - state.coeff_at_1 * x
+    return _velocity(state, state.particles)
 
 
 def _chi_hat(state: FlowState, x: np.ndarray) -> float:
@@ -103,14 +109,14 @@ def _chi_hat(state: FlowState, x: np.ndarray) -> float:
     flow to cancel in differences; chi_offset repairs the absolute
     level.
     """
-    n = x.size
-    w = state.mass / n
-    if n > 1:
-        iu = np.triu_indices(n, k=1)
-        gaps = (x[:, None] - x[None, :])[iu]
-        sigma = 2.0 * w * w * float(np.sum(np.log(np.abs(gaps))))
-    else:
-        sigma = 0.0
+    w = state.mass / x.size
+    # sum of log|x_i - x_j| over i != j: log 1 = 0 on the diagonal, and
+    # the full symmetric matrix counts each pair twice
+    gaps = np.subtract.outer(x, x)
+    np.abs(gaps, out=gaps)
+    np.fill_diagonal(gaps, 1.0)
+    np.log(gaps, out=gaps)
+    sigma = w * w * float(np.sum(gaps))
     log0 = w * float(np.sum(np.log(x)))
     log1 = w * float(np.sum(np.log1p(-x)))
     _, c_const = _constant_from_traces(state.alpha, state.beta)
@@ -122,15 +128,16 @@ def _chi_hat(state: FlowState, x: np.ndarray) -> float:
     )
 
 
-def _phi_hat(state: FlowState, x: np.ndarray) -> float:
-    """Particle estimate of the Fisher integral phi^2 x(1-x) dnu."""
-    h = _pairwise_sum(x, state.mass)
+def _phi_hat(state: FlowState, x: np.ndarray, h: np.ndarray | None = None) -> float:
+    """Particle estimate of the Fisher integral phi^2 x(1-x) dnu; h as in _velocity."""
+    if h is None:
+        h = _pairwise_sum(x, state.mass)
     phi = h + state.coeff_at_0 / x - state.coeff_at_1 / (1.0 - x)
     return (state.mass / x.size) * float(np.sum(phi**2 * x * (1.0 - x)))
 
 
 def init_flow(
-    law: ProjectionPairLaw, n: int, grid=None
+    law: ProjectionPairLaw, n: int, grid: int = DEFAULT_GRID
 ) -> FlowState:
     """Particle representation of a law, ready to flow.
 
@@ -158,16 +165,11 @@ def init_flow(
         alpha=law.alpha,
         beta=law.beta,
     )
-    m = resolution(grid)
-    chi0 = chi_proj(law, m).chi
-    offset = chi0 - _chi_hat(state, state.particles)
-    record = FlowRecord(0.0, _chi_hat(state, state.particles), _phi_hat(state, state.particles), 0.0)
+    x = state.particles
+    chi0 = chi_proj(law, grid).chi
+    offset = chi0 - _chi_hat(state, x)
+    record = FlowRecord(0.0, _chi_hat(state, x), _phi_hat(state, x), 0.0)
     return replace(state, chi_offset=offset, history=(record,))
-
-
-def _velocity_at(state: FlowState, x: np.ndarray) -> np.ndarray:
-    h = _pairwise_sum(x, state.mass)
-    return x * (1.0 - x) * h + state.coeff_at_0 * (1.0 - x) - state.coeff_at_1 * x
 
 
 def _step_ok(x: np.ndarray, proposal: np.ndarray) -> bool:
@@ -214,15 +216,18 @@ def flow_evolve(
     t = state.t
     dt = min(dt0, dt_max)
     history = list(state.history)
-    last = history[-1] if history else FlowRecord(t, _chi_hat(state, x), _phi_hat(state, x), 0.0)
+    # the pairwise sum at the accepted positions serves both the Fisher
+    # estimate of the step that reached them and the next step's k1
+    h = _pairwise_sum(x, state.mass)
+    last = history[-1] if history else FlowRecord(t, _chi_hat(state, x), _phi_hat(state, x, h), 0.0)
     if not history:
         history.append(last)
+    k1 = _velocity(state, x, h)
     while t < t_final - 1e-15:
         dt = min(dt, t_final - t)
-        k1 = _velocity_at(state, x)
-        k2 = _velocity_at(state, x + 0.5 * dt * k1)
-        k3 = _velocity_at(state, x + 0.5 * dt * k2)
-        k4 = _velocity_at(state, x + dt * k3)
+        k2 = _velocity(state, x + 0.5 * dt * k1)
+        k3 = _velocity(state, x + 0.5 * dt * k2)
+        k4 = _velocity(state, x + dt * k3)
         proposal = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not _step_ok(x, proposal):
             dt *= 0.5
@@ -239,9 +244,10 @@ def flow_evolve(
         x = proposal
         t += dt
         dt = min(dt * 1.2, dt_max)
-        probe = replace(state, particles=x, t=t)
-        chi_hat = _chi_hat(probe, x)
-        phi_hat = _phi_hat(probe, x)
+        h = _pairwise_sum(x, state.mass)
+        k1 = _velocity(state, x, h)
+        chi_hat = _chi_hat(state, x)
+        phi_hat = _phi_hat(state, x, h)
         half = last.half_integral + 0.25 * (phi_hat + last.phi_hat) * (t - last.t)
         last = FlowRecord(t, chi_hat, phi_hat, half)
         history.append(last)
@@ -265,7 +271,7 @@ class FlowDiagnostics:
     ratio_error: np.ndarray
 
 
-def flow_diagnostics(state: FlowState, grid=None) -> FlowDiagnostics:
+def flow_diagnostics(state: FlowState) -> FlowDiagnostics:
     """Derive the entropy-production comparison from the history.
 
     ratio_error is |dchi/dt - phi*/2| / (phi*/2) wherever the Fisher
@@ -321,7 +327,7 @@ def istar(
     law: ProjectionPairLaw,
     n: int = 512,
     t_max: float = 20.0,
-    grid=None,
+    grid: int = DEFAULT_GRID,
 ) -> IstarReport:
     """Entropy deficit of a law via the flow's Fisher production.
 
@@ -336,8 +342,7 @@ def istar(
     phi = np.array([r.phi_hat for r in state.history])
     integrated = state.history[-1].half_integral
     tail, rate, trustworthy = _tail_integral(t, phi)
-    m = resolution(grid)
-    minus_chi = -chi_proj(law, m).chi
+    minus_chi = -chi_proj(law, grid).chi
     value = integrated + tail
     scale = max(abs(minus_chi), 1e-12)
     return IstarReport(

@@ -14,6 +14,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 UNIFORM = str(FIXTURES / "uniform.json")
 BAD_ATOMS = str(FIXTURES / "bad_atoms.json")
 FREE_HALF = str(FIXTURES / "free_half.json")
+TILT = str(FIXTURES / "tilt_quad.json")
 
 
 def run(capsys, *argv):
@@ -102,6 +103,37 @@ def test_nan_in_report_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatc
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(NumericalError):
         cli._format_cell(float("nan"))
+
+
+@pytest.mark.parametrize("law", [UNIFORM, FREE_HALF])
+@pytest.mark.parametrize("grid", ["0", "-4"])
+def test_nonpositive_grid_is_a_usage_error(tmp_path, capsys, law, grid):
+    out = tmp_path / "chi.json"
+    code, _, err = run(capsys, "chi", "--law", law, "--grid", grid, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "--grid" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unconverged_tilted_solve_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import liberlab.entropy as entropy
+
+    solve = entropy.equilibrium_solve
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(entropy, "equilibrium_solve", unconverged)
+    out = tmp_path / "lsi.json"
+    code, _, err = run(
+        capsys, "lsi", "--law", UNIFORM, "--h", TILT, "--c1", "0.3", "--c2", "0.3",
+        "--grid", "512", "--out", str(out),
+    )
+    assert code == 2
+    assert "did not converge" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_csv_shape(tmp_path, capsys):

@@ -12,6 +12,7 @@ from liberlab.densities import (
     uniform_density,
 )
 from liberlab.errors import ValidationError
+from liberlab.entropy import relative_sigma_h
 from liberlab.fisher import check_lsi, hilbert_transform, phi_star, relative_phi_h
 from liberlab.laws import ProjectionPairLaw, free_pair_law
 from liberlab.potentials import poly_potential
@@ -158,3 +159,15 @@ def test_check_lsi_relative_fields():
     big = check_lsi(UNIFORM, h, c1=2.0, c2=1.0, grid=M)
     assert not big.smallness_ok
     assert big.factor == np.inf
+
+
+def test_check_lsi_reports_the_tilted_solve():
+    h = poly_potential((0.0, 0.0, 0.5))
+    tilted = check_lsi(UNIFORM, h, c1=0.3, c2=0.3, grid=M)
+    assert tilted.equilibrium_converged is True
+    assert tilted.sigma_h == relative_sigma_h(UNIFORM, h, M)
+    assert check_lsi(UNIFORM, grid=M).equilibrium_converged is None
+    law = ProjectionPairLaw(0.5, 0.5, 0.25, 0.0, 0.0, 0.25, uniform_density(0.5))
+    vacuous = check_lsi(law, h, c1=0.3, c2=0.3, grid=M)
+    assert vacuous.sigma_h == np.inf
+    assert vacuous.equilibrium_converged is None

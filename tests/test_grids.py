@@ -1,37 +1,29 @@
-"""Quadrature grids: polynomial exactness and argument plumbing."""
+"""The graded Gauss-Legendre rule: polynomial exactness and endpoint singularities."""
 
 import numpy as np
 import pytest
 
-from liberlab.errors import ValidationError
-from liberlab.grids import chebyshev_grid, legendre_grid, make_grid, resolution
+from liberlab.grids import graded_legendre
 
 
-def test_chebyshev_grid_integrates_smooth_functions():
-    g = chebyshev_grid(128)
-    assert g.nodes.shape == g.weights.shape == (128,)
-    assert np.all(np.diff(g.nodes) > 0)
-    assert g.integrate(np.ones(128)) == pytest.approx(1.0, abs=1e-14)
-    assert g.integrate(g.nodes**3) == pytest.approx(0.25, abs=1e-12)
-    assert g.integrate(np.exp(g.nodes)) == pytest.approx(np.e - 1.0, abs=1e-12)
+def test_graded_legendre_integrates_smooth_functions():
+    x, w = graded_legendre(128)
+    assert x.shape == w.shape
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+    assert np.dot(w, x**3) == pytest.approx(0.25, abs=1e-12)
+    assert np.dot(w, np.exp(x)) == pytest.approx(np.e - 1.0, abs=1e-12)
 
 
-def test_legendre_grid_handles_endpoint_singularity():
-    g = legendre_grid(512)
-    assert np.all((g.nodes > 0) & (g.nodes < 1))
-    assert g.integrate(g.nodes**5) == pytest.approx(1.0 / 6, abs=1e-13)
-    assert g.integrate(1.0 / np.sqrt(g.nodes)) == pytest.approx(2.0, rel=1e-5)
+def test_graded_legendre_handles_endpoint_singularity():
+    x, w = graded_legendre(512)
+    assert np.all((x > 0) & (x < 1))
+    assert np.dot(w, x**5) == pytest.approx(1.0 / 6, abs=1e-13)
+    assert np.dot(w, 1.0 / np.sqrt(x)) == pytest.approx(2.0, rel=1e-5)
 
 
-def test_make_grid_dispatch_and_errors():
-    assert make_grid(64, "chebyshev").kind == "chebyshev"
-    assert make_grid(64, "legendre").kind == "legendre"
-    with pytest.raises(ValidationError):
-        make_grid(64, "simpson")
-
-
-def test_resolution_accepts_grid_int_or_none():
-    assert resolution(None) == 2048
-    assert resolution(None, default=128) == 128
-    assert resolution(512) == 512
-    assert resolution(make_grid(96)) == 96
+def test_graded_legendre_maps_to_a_window():
+    x, w = graded_legendre(512, 0.2, 0.7)
+    assert np.all((x > 0.2) & (x < 0.7))
+    assert np.sum(w) == pytest.approx(0.5, abs=1e-14)
+    assert np.dot(w, 1.0 / np.sqrt(0.7 - x)) == pytest.approx(2.0 * np.sqrt(0.5), rel=1e-5)

@@ -10,6 +10,7 @@ from liberlab.laws import ProjectionPairLaw, free_pair_law
 from liberlab.liberation import (
     FlowState,
     _chi_hat,
+    _pairwise_sum,
     _phi_hat,
     flow_diagnostics,
     flow_evolve,
@@ -64,6 +65,20 @@ def test_energy_production_identity_by_finite_differences():
     minus = _chi_hat(state, x - s * v)
     derivative = (plus - minus) / (2.0 * s)
     assert derivative == pytest.approx(0.5 * _phi_hat(state, x), rel=1e-8)
+
+
+def test_flow_kernels_match_the_pairwise_references(rng):
+    state = init_flow(UNIFORM, 96)
+    x = np.sort(rng.uniform(0.01, 0.99, 96))
+    w = state.mass / x.size
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, np.inf)
+    assert np.array_equal(_pairwise_sum(x, state.mass), w * np.sum(1.0 / diff, axis=1))
+
+    # atomless law at traces (1/2, 1/2): chi_hat = Sigma/4 - C with C = -log(2)/2
+    iu = np.triu_indices(x.size, k=1)
+    sigma = 2.0 * w * w * np.sum(np.log(np.abs(x[:, None] - x[None, :])[iu]))
+    assert _chi_hat(state, x) == pytest.approx(0.25 * sigma + 0.5 * np.log(2.0), rel=0, abs=1e-14)
 
 
 def test_free_laws_are_stationary():
