@@ -210,11 +210,14 @@ def log_z_quadrature(spec: EnsembleSpec, nodes: int = 96, scale: float = 1.0) ->
     Integrates the tilted density over [0,1]^n exactly enough for
     acceptance work (the integrand is polynomial times a smooth tilt).
     scale multiplies the tilt exponent, which thermodynamic integration
-    uses for intermediate temperatures.
+    uses for intermediate temperatures.  nodes runs from 1 to 256, which
+    bounds the n = 3 tensor at 256^3 entries.
     """
     _, _, n = spec.counts
     if n > 3:
         raise ValidationError("tensor quadrature is limited to three free points")
+    if not 1 <= nodes <= 256:
+        raise ValidationError("tensor quadrature takes 1 to 256 nodes per axis (--grid)")
     a, b = spec.exponents
     t, w = np.polynomial.legendre.leggauss(nodes)
     x = 0.5 * (t + 1.0)
@@ -414,7 +417,7 @@ def lsi_matrix_report(
 
     entropy = log Z0 - log Zpsi - N E[sum psi]; the Dirichlet side is
     2N E[sum psi'(x_i)^2 x_i(1-x_i)].  Normalization constants come from
-    tensor quadrature (grid Gauss-Legendre nodes per axis, at most 256)
+    tensor quadrature (grid Gauss-Legendre nodes per axis, 1 to 256)
     when the model has at most three free points and from
     thermodynamic integration otherwise; expectations always come
     from the Metropolis chain, so the margin carries a standard error.
@@ -427,7 +430,7 @@ def lsi_matrix_report(
     log_z0 = selberg_log_z0(spec)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n <= 3:
-        log_z_psi = log_z_quadrature(spec, nodes=min(grid, 256))
+        log_z_psi = log_z_quadrature(spec, nodes=grid)
         log_z_se = 0.0
         mode = "quadrature"
     else:

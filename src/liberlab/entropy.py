@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.fft import fft
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import xlogy
 
 from .chebyshev import cosine_series_at_angles, gc_angles, moments_from_masses
@@ -50,6 +52,9 @@ __all__ = [
 ]
 
 _LOG2 = float(np.log(2.0))
+_TOL = 1e-6  # flatness of the first-order condition
+_FULL_START_NODES = 64  # the active-set recursion starts from full support here
+_MAX_ROUNDS = 60  # active-set rounds per level
 
 
 def b_function(s: float, t: float) -> float:
@@ -208,6 +213,10 @@ def _truncated_energy(masses: np.ndarray) -> float:
     return total * total * (-2.0 * _LOG2) - 2.0 * float(np.sum(c[1:] ** 2 / k))
 
 
+def _objective(masses: np.ndarray, w: np.ndarray) -> float:
+    return 0.25 * _truncated_energy(masses) + 0.5 * float(np.dot(masses, w))
+
+
 def equilibrium_objective(
     alpha: float, beta: float, h: PotentialSpec | None, masses: np.ndarray
 ) -> float:
@@ -223,8 +232,7 @@ def equilibrium_objective(
     coeff1 = atoms["a00"] + atoms["a11"]
     masses = np.asarray(masses, dtype=float)
     _, x_theta = _nodes_on_unit(masses.size)
-    w = _tilt_values(coeff0, coeff1, h, x_theta)
-    return 0.25 * _truncated_energy(masses) + 0.5 * float(np.dot(masses, w))
+    return _objective(masses, _tilt_values(coeff0, coeff1, h, x_theta))
 
 
 def _nodes_on_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,117 +240,89 @@ def _nodes_on_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, 0.5 * (1.0 + np.cos(theta))
 
 
-def _adjust_support(
-    masses: np.ndarray,
-    dev: np.ndarray,
-    obj: float,
-    objective,
-    mass: float,
-    uniform_level: float,
-    tol: float,
-) -> tuple[np.ndarray, float]:
-    """Move clearly misclassified nodes across the support boundary.
+def _energy_kernel(m: int) -> np.ndarray:
+    """S(p) = sum_{k=1}^{m-1} cos(k p pi / m) / k for p = 0, ..., 2m-1."""
+    a = np.zeros(2 * m)
+    a[1:m] = 1.0 / np.arange(1, m)
+    return fft(a).real
 
-    Nodes whose multiplicative decay toward zero is capped by their own
-    small gradient gap would gate convergence for tens of thousands of
-    iterations; zeroing an underweight node with a negative gap is a
-    first-order ascent move, so each candidate is zeroed one at a time
-    and kept only when the objective does not drop.  The reverse move
-    guards against an over-eager trim: a boundary node whose gap turned
-    positive while its mass sits at zero is reseeded, so the dynamics
-    can regrow it.
+
+def _minus_energy_matrix(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """-A on the nodes idx, for the truncated energy masses @ A @ masses.
+
+    With theta_i - theta_j = (i-j) pi/m and theta_i + theta_j =
+    (i+j+1) pi/m, the energy's cosine series gives the closed form
+    A_ij = -2 log 2 - S(i-j) - S(i+j+1), S = _energy_kernel(m).  The
+    matrix is filled a few rows at a time into one buffer, so the only
+    large allocation is the result itself.
     """
-    revive = (masses <= 1e-14 * np.max(masses)) & (dev > tol)
-    if np.any(revive):
-        masses = masses.copy()
-        masses[revive] = 1e-3 * uniform_level
-        masses *= mass / np.sum(masses)
-        obj = objective(masses)
-    candidates = np.where((dev < -tol) & (masses > 0.0) & (masses < uniform_level))[0]
-    if candidates.size:
-        for j in candidates[np.argsort(masses[candidates])][:256]:
-            trial = masses.copy()
-            trial[j] = 0.0
-            trial *= mass / np.sum(trial)
-            new_obj = objective(trial)
-            if new_obj >= obj - 1e-15:
-                masses = trial
-                obj = new_obj
-    return masses, obj
+    n = idx.size
+    out = np.empty((n, n))
+    rows = max(1, 2**16 // n)
+    for lo in range(0, n, rows):
+        i = idx[lo : lo + rows, None]
+        block = out[lo : lo + rows]
+        np.take(s, np.abs(i - idx), out=block, mode="clip")
+        block += s[i + idx + 1]
+        block += 2.0 * _LOG2
+    return out
 
 
-def _energy_matrix(idx: np.ndarray, m: int) -> np.ndarray:
-    """Quadratic-form matrix of the truncated energy on a node subset.
+def _active_set(
+    tilt: Callable[[np.ndarray], np.ndarray], mass: float, m: int
+) -> tuple[np.ndarray, float, float, bool, int]:
+    """Exact maximizer of the node-mass objective at m nodes.
 
-    Row i is the potential that a unit mass at node idx[i] induces at the
-    other selected nodes, built through the same transforms the iterative
-    gradient uses so the two agree to roundoff.
+    Returns masses, objective, flatness, converged and the active-set
+    rounds spent at this level and all coarser ones.
     """
+    _, x_theta = _nodes_on_unit(m)
+    w = tilt(x_theta)
+    if m <= _FULL_START_NODES:
+        active = np.ones(m, dtype=bool)
+        rounds = 0
+    else:
+        coarse_m = m // 4
+        coarse, _, _, _, rounds = _active_set(tilt, mass, coarse_m)
+        nearest = (2 * np.arange(m) + 1) * coarse_m // (2 * m)
+        active = (coarse > 0.0)[nearest]
+    s = _energy_kernel(m)
     k = np.arange(1, m)
-    out = np.empty((idx.size, idx.size))
-    for lo in range(0, idx.size, 512):
-        block = idx[lo : lo + 512]
-        unit = np.zeros((block.size, m))
-        unit[np.arange(block.size), block] = 1.0
-        c = moments_from_masses(unit)
-        upot = -2.0 * _LOG2 - 2.0 * cosine_series_at_angles(c[:, 1:] / k, m)
-        out[lo : lo + block.size] = upot[:, idx]
-    return 0.5 * (out + out.T)
-
-
-def _kkt_polish(
-    masses: np.ndarray,
-    w: np.ndarray,
-    mass: float,
-    gradient,
-    tol: float,
-) -> tuple[np.ndarray, bool, float]:
-    """Solve the first-order system exactly on the detected support.
-
-    The objective is a concave quadratic in the node masses, so once the
-    support is known the maximizer solves a linear system: equal gradient
-    on the support, total mass fixed.  Nodes the solve sends negative are
-    dropped and outside nodes whose gradient rises above the support
-    level are brought back in, until the complementarity pattern is
-    self-consistent.
-    """
-    m = masses.size
-    active = masses > 1e-12 * np.max(masses)
-    for _ in range(60):
+    masses = np.full(m, mass / m)
+    flat = np.inf
+    converged = False
+    for _ in range(_MAX_ROUNDS):
+        rounds += 1
         idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        a_sub = _energy_matrix(idx, m)
-        system = np.zeros((idx.size + 1, idx.size + 1))
-        system[: idx.size, : idx.size] = a_sub
-        system[: idx.size, -1] = -1.0
-        system[-1, : idx.size] = 1.0
-        rhs = np.concatenate([-w[idx], [mass]])
-        try:
-            solution = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            break
-        m_sub = solution[: idx.size]
+        factor = cho_factor(
+            _minus_energy_matrix(s, idx).T, overwrite_a=True, check_finite=False
+        )
+        rhs = np.column_stack([w[idx], np.ones(idx.size)])
+        u, v = cho_solve(factor, rhs, check_finite=False).T
+        # -A m = w - level on the support and sum(m) = mass fix the level
+        m_sub = u - v * ((np.sum(u) - mass) / np.sum(v))
         negative = m_sub < -1e-15 * mass
         if np.any(negative):
             active[idx[negative]] = False
             continue
-        trial = np.zeros(m)
-        trial[idx] = np.maximum(m_sub, 0.0)
-        trial *= mass / np.sum(trial)
-        grad = gradient(trial)
-        level = float(np.dot(trial, grad)) / mass
-        dev = grad - level
+        masses = np.zeros(m)
+        masses[idx] = np.maximum(m_sub, 0.0)
+        masses *= mass / np.sum(masses)
+        # the first-order check runs on the transform gradient, independent
+        # of the matrix that produced the masses
+        c = moments_from_masses(masses)
+        upot = mass * (-2.0 * _LOG2) - 2.0 * cosine_series_at_angles(c[1:] / k, m)
+        grad = 0.5 * (upot + w)
+        dev = grad - float(np.dot(masses, grad)) / mass
         flat = float(np.max(np.abs(dev[active])))
-        outside = ~active
-        if flat <= tol and (not np.any(outside) or float(np.max(dev[outside])) <= tol):
-            return trial, True, flat
-        joiners = outside & (dev > tol)
-        if flat <= tol and np.any(joiners):
-            active |= joiners
-            continue
-        break
-    return masses, False, np.inf
+        if flat > _TOL:
+            break
+        joiners = ~active & (dev > _TOL)
+        if not np.any(joiners):
+            converged = True
+            break
+        active |= joiners
+    return masses, _objective(masses, w), flat, converged, rounds
 
 
 def equilibrium_solve(
@@ -350,21 +330,24 @@ def equilibrium_solve(
     beta: float,
     h: PotentialSpec | None = None,
     grid: int = DEFAULT_GRID,
-    *,
-    tol: float = 1e-6,
-    max_iter: int = 4000,
-    step0: float = 2.0,
 ) -> EquilibriumResult:
     """Maximize the tilted entropy functional over densities of mass 2 rho.
 
     The atoms are the generic-position pattern of (alpha, beta) and are
-    not optimization variables.  The solver runs mirror ascent on point
-    masses at the Gauss-Chebyshev nodes of (0,1): multiplicative updates
-    along the gradient keep the iterate in the simplex scaled to total
-    mass 2 rho, a monotone line search on the concave objective picks
-    the step, and iteration stops when the first-order condition (log
-    potential plus tilt constant on the support) is flat to tol.  Nodes
-    below 1e-12 of the peak mass are treated as outside the support.
+    not optimization variables.  The density is represented by point
+    masses at the grid Gauss-Chebyshev nodes of (0,1); on them the
+    functional is a strictly concave quadratic, so its maximizer over
+    the simplex scaled to total mass 2 rho is unique.  An active-set
+    loop finds it exactly: each round solves the first-order system
+    (equal gradient on the support, total mass fixed) by one Cholesky
+    factorization of the closed-form energy matrix, drops the nodes the
+    solve sends negative, and otherwise adds the outside nodes whose
+    gradient exceeds the support level by more than 1e-6.  It stops when
+    the first-order condition, evaluated through the Chebyshev
+    transforms, is flat to 1e-6 on the support and no outside node
+    qualifies.  The loop starts from the support of the same solve at
+    grid // 4, applied recursively, and from full support at 64 nodes or
+    fewer; iterations counts the rounds over all levels.
 
     B_h is evaluated by re-running the entropy functionals on the
     returned density, so that the relative entropy of the maximizer
@@ -387,63 +370,9 @@ def equilibrium_solve(
             rho, coeff0, coeff1, alpha, beta,
         )
 
-    mass = 2.0 * rho
-    theta, x_theta = _nodes_on_unit(m)
-    w = _tilt_values(coeff0, coeff1, h, x_theta)
-    masses = np.full(m, mass / m)
-    k = np.arange(1, m)
-
-    def gradient(mm: np.ndarray) -> np.ndarray:
-        c = moments_from_masses(mm)
-        upot = float(np.sum(mm)) * (-2.0 * _LOG2) - 2.0 * cosine_series_at_angles(
-            c[1:] / k, m
-        )
-        return 0.5 * (upot + w)
-
-    def objective(mm: np.ndarray) -> float:
-        return 0.25 * _truncated_energy(mm) + 0.5 * float(np.dot(mm, w))
-
-    eta = step0
-    obj = objective(masses)
-    flat = np.inf
-    converged = False
-    iterations = 0
-    uniform_level = mass / m
-    ascent_cap = min(max_iter, 1000)
-    for iterations in range(1, max_iter + 1):
-        grad = gradient(masses)
-        gbar = float(np.dot(masses, grad)) / mass
-        support = masses > 1e-12 * np.max(masses)
-        dev = grad - gbar
-        flat = float(np.max(np.abs(dev[support])))
-        outside_ok = support.all() or float(np.max(dev[~support])) <= tol
-        if flat <= tol and outside_ok:
-            converged = True
-            break
-        if iterations >= ascent_cap:
-            masses, converged, polished_flat = _kkt_polish(
-                masses, w, mass, gradient, tol
-            )
-            if converged:
-                obj = objective(masses)
-                flat = polished_flat
-            break
-        if iterations % 250 == 0:
-            masses, obj = _adjust_support(
-                masses, dev, obj, objective, mass, uniform_level, tol
-            )
-        trial = masses * np.exp(np.clip(eta * dev, -50.0, 50.0))
-        trial *= mass / np.sum(trial)
-        new_obj = objective(trial)
-        if new_obj < obj - 1e-15:
-            eta *= 0.5
-            if eta < 1e-8:
-                break
-            continue
-        masses = trial
-        obj = new_obj
-        eta *= 1.05
-
+    masses, obj, flat, converged, iterations = _active_set(
+        lambda x: _tilt_values(coeff0, coeff1, h, x), 2.0 * rho, m
+    )
     g = (masses * (m / np.pi))[::-1].copy()
     left = 0.5 if coeff0 > 0.0 else -0.5
     right = 0.5 if coeff1 > 0.0 else -0.5
@@ -498,13 +427,13 @@ def relative_sigma_h(
 
 def _relative_sigma(
     law: ProjectionPairLaw, h: PotentialSpec, chi: float, grid: int
-) -> tuple[float, bool | None]:
-    """sigma_h of a law with known entropy chi, and the converged flag of the
-    h-tilted equilibrium solve behind B_h.
+) -> tuple[float, EquilibriumResult | None]:
+    """sigma_h of a law with known entropy chi, and the h-tilted
+    equilibrium solve behind B_h.
 
     chi = -inf gives (inf, None) without solving.
     """
     if chi == float("-inf"):
         return float("inf"), None
     result = equilibrium_solve(law.alpha, law.beta, h, grid)
-    return float(-chi + tau_of_potential(law, h, grid) + result.B_h), result.converged
+    return float(-chi + tau_of_potential(law, h, grid) + result.B_h), result

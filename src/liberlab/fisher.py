@@ -87,9 +87,10 @@ class LsiReport:
     relative fields are populated: sigma_h and phi_h are the relative
     entropy and relative Fisher information, factor is the constant
     1/(1 - c1*|dh|_inf - c2*|d2h|_inf), and relative_margin is
-    factor*phi_h - sigma_h.  equilibrium_converged records whether the
-    h-tilted equilibrium solve behind sigma_h converged (None when it
-    did not run).  vacuous flags laws whose entropy is -inf, for which
+    factor*phi_h - sigma_h.  equilibrium_converged, equilibrium_iterations
+    and equilibrium_flatness are the converged flag, active-set rounds and
+    final flatness of the h-tilted equilibrium solve behind sigma_h (None
+    when it did not run).  vacuous flags laws whose entropy is -inf, for which
     the plain inequality carries no content.
     """
 
@@ -108,6 +109,8 @@ class LsiReport:
     relative_margin: float | None = None
     smallness_ok: bool | None = None
     equilibrium_converged: bool | None = None
+    equilibrium_iterations: int | None = None
+    equilibrium_flatness: float | None = None
 
 
 def hilbert_transform(
@@ -230,7 +233,7 @@ def check_lsi(
         margin = math.inf
     if h is None:
         return LsiReport(ent.chi, fr.phi_star, margin, vacuous)
-    sigma_h, converged = _relative_sigma(law, h, ent.chi, grid)
+    sigma_h, eq = _relative_sigma(law, h, ent.chi, grid)
     _, phi_h = _drifted_norm(law, td, h.dvalue)
     norm_h = h.sup_norm("h")
     norm_dh = h.sup_norm("dh")
@@ -257,5 +260,7 @@ def check_lsi(
         factor=factor,
         relative_margin=relative_margin,
         smallness_ok=smallness_ok,
-        equilibrium_converged=converged,
+        equilibrium_converged=None if eq is None else eq.converged,
+        equilibrium_iterations=None if eq is None else eq.iterations,
+        equilibrium_flatness=None if eq is None else eq.flatness,
     )

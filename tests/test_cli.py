@@ -115,6 +115,18 @@ def test_nonpositive_grid_is_a_usage_error(tmp_path, capsys, law, grid):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_lsi_matrix_grid_above_the_quadrature_limit_is_a_usage_error(tmp_path, capsys):
+    model = ("lsi-matrix", "--N", "4", "--k", "2", "--l", "2", "--psi", "poly:0,0.1")
+    out = tmp_path / "lsi_matrix.json"
+    code, _, err = run(capsys, *model, "--grid", "300", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "--grid" in err
+    assert list(tmp_path.iterdir()) == []
+    code, _, _ = run(capsys, *model, "--grid", "256", "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["mode"] == "quadrature"
+
+
 def test_unconverged_tilted_solve_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
     import dataclasses
 

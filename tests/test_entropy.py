@@ -1,10 +1,16 @@
 """Entropy functional, its constant, the equilibrium solver, and the rate."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from liberlab.chebyshev import cosine_series_at_angles, moments_from_masses
 from liberlab.densities import density_values, free_pair_density, uniform_density
 from liberlab.entropy import (
+    _energy_kernel,
+    _minus_energy_matrix,
     b_function,
     chi_proj,
     constant_C,
@@ -22,6 +28,9 @@ from liberlab.potentials import poly_potential, zero_potential
 from conftest import random_generic_law
 
 M = 2048
+ORACLE = json.loads(
+    (Path(__file__).parent / "fixtures" / "equilibrium_oracle.json").read_text()
+)
 UNIFORM = ProjectionPairLaw(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, uniform_density(1.0))
 CHI_UNIFORM = -3.0 / 8.0 + np.log(2.0) / 2.0
 
@@ -98,6 +107,63 @@ def test_equilibrium_tilted_flatness_and_Bh():
     assert res.flatness <= 1e-6
     assert res.B_h < 0.0
     assert res.density.mass == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case", ORACLE["cases"], ids=lambda c: f"{c['alpha']:.3f}-{c['beta']:.3f}-{c['grid']}"
+)
+def test_equilibrium_matches_the_recorded_oracle(case):
+    """B_h, objective and density against the solver the active set replaced.
+
+    Where that solver ended in its exact KKT solve (or was exact from the
+    start) the density agrees to 1e-9 of its peak; where its mirror
+    ascent stopped on its own at flatness <= 1e-6, only to 1e-4.
+    """
+    h = poly_potential(tuple(case["h"])) if case["h"] else None
+    res = equilibrium_solve(case["alpha"], case["beta"], h, case["grid"])
+    assert res.converged
+    assert res.flatness <= 1e-12
+    assert res.B_h == pytest.approx(case["B_h"], abs=1e-10)
+    assert res.objective == pytest.approx(case["objective"], abs=1e-10)
+    probe = ORACLE["probe"]
+    got = density_values(res.density, np.linspace(probe["lo"], probe["hi"], probe["count"]))
+    want = np.array(case["density"])
+    rel = 1e-9 if case["flatness"] <= 1e-12 else 1e-4
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 100, 1024])
+def test_energy_matrix_matches_the_transform_potential(m):
+    rng = np.random.default_rng(m)
+    masses = rng.random(m)
+    c = moments_from_masses(masses)
+    potential = masses.sum() * (-2.0 * np.log(2.0)) - 2.0 * cosine_series_at_angles(
+        c[1:] / np.arange(1, m), m
+    )
+    s = _energy_kernel(m)
+    full = -_minus_energy_matrix(s, np.arange(m)) @ masses
+    assert np.max(np.abs(full - potential)) <= 1e-12 * np.max(np.abs(potential))
+    # on a node subset, with the masses outside it set to zero
+    idx = np.flatnonzero(rng.random(m) < 0.6) if m > 1 else np.arange(1)
+    sub = np.zeros(m)
+    sub[idx] = masses[idx]
+    c = moments_from_masses(sub)
+    potential = sub.sum() * (-2.0 * np.log(2.0)) - 2.0 * cosine_series_at_angles(
+        c[1:] / np.arange(1, m), m
+    )
+    got = -_minus_energy_matrix(s, idx) @ masses[idx]
+    assert np.max(np.abs(got - potential[idx])) <= 1e-12 * np.max(np.abs(potential))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 63, 65, 100, 257])
+def test_equilibrium_converges_at_any_grid(m):
+    """Sizes off the multiples of 4 and at or below the full-support start."""
+    tilt = poly_potential((0.0, 0.0, 0.5))
+    for a, b, h in [(0.3, 0.6, None), (0.5, 0.5, tilt), (0.42, 0.77, tilt)]:
+        res = equilibrium_solve(a, b, h, m)
+        assert res.converged, (a, b, m)
+        assert res.density.mass == pytest.approx(2.0 * res.rho, abs=1e-12)
+        assert res.flatness <= 1e-6
 
 
 def test_equilibrium_objective_concavity():

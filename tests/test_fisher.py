@@ -12,7 +12,7 @@ from liberlab.densities import (
     uniform_density,
 )
 from liberlab.errors import ValidationError
-from liberlab.entropy import relative_sigma_h
+from liberlab.entropy import equilibrium_solve, relative_sigma_h
 from liberlab.fisher import check_lsi, hilbert_transform, phi_star, relative_phi_h
 from liberlab.laws import ProjectionPairLaw, free_pair_law
 from liberlab.potentials import poly_potential
@@ -165,9 +165,15 @@ def test_check_lsi_reports_the_tilted_solve():
     h = poly_potential((0.0, 0.0, 0.5))
     tilted = check_lsi(UNIFORM, h, c1=0.3, c2=0.3, grid=M)
     assert tilted.equilibrium_converged is True
+    solve = equilibrium_solve(0.5, 0.5, h, M)
+    assert tilted.equilibrium_iterations == solve.iterations > 0
+    assert tilted.equilibrium_flatness == solve.flatness <= 1e-6
     assert tilted.sigma_h == relative_sigma_h(UNIFORM, h, M)
-    assert check_lsi(UNIFORM, grid=M).equilibrium_converged is None
+    plain = check_lsi(UNIFORM, grid=M)
     law = ProjectionPairLaw(0.5, 0.5, 0.25, 0.0, 0.0, 0.25, uniform_density(0.5))
     vacuous = check_lsi(law, h, c1=0.3, c2=0.3, grid=M)
     assert vacuous.sigma_h == np.inf
-    assert vacuous.equilibrium_converged is None
+    for rep in (plain, vacuous):
+        assert rep.equilibrium_converged is None
+        assert rep.equilibrium_iterations is None
+        assert rep.equilibrium_flatness is None
