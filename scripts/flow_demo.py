@@ -37,13 +37,12 @@ def main(argv=None) -> int:
     parser.add_argument("--particles", type=int, default=256)
     parser.add_argument("--tmax", type=float, default=8.0)
     parser.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    parser.add_argument("--dt-max", type=float, default=0.02)
     parser.add_argument("--out", default=None, help="CSV of the full trajectory")
     args = parser.parse_args(argv)
 
     law = load_law(args.law) if args.law else load_law(UNIFORM_LAW)
     state = init_flow(law, args.particles, args.grid)
-    state = flow_evolve(state, args.tmax, dt_max=args.dt_max)
+    state = flow_evolve(state, args.tmax)
     diag = flow_diagnostics(state)
 
     checkpoints = np.unique(np.searchsorted(diag.t, np.geomspace(1e-2, args.tmax, 12)))

@@ -77,6 +77,8 @@ _LOG2 = float(np.log(2.0))
 # 512 KB, so the two block buffers of density_transport (1 MB together)
 # stay in a 2 MB L2 cache instead of streaming through DRAM.
 _BLOCK_ENTRIES = 2**16
+_CDF_NODES = 8192  # quadrature nodes of the distribution-function table
+_W1_POINTS = 20001  # evaluation points of w1_empirical_to_density
 
 
 @dataclass(frozen=True)
@@ -546,21 +548,21 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
 # distribution functions
 
 
-def _cdf_table(d: DensitySpec, m: int = 8192) -> tuple[np.ndarray, np.ndarray]:
+def _cdf_table(d: DensitySpec) -> tuple[np.ndarray, np.ndarray]:
     """Interior nodes with midpoint-cumulative masses, in increasing x."""
     if d.kind in _SQRT_KINDS:
-        _, x_theta = _theta_nodes(d, m)
-        masses = np.pi / m * _window_g(d, m)
+        _, x_theta = _theta_nodes(d, _CDF_NODES)
+        masses = np.pi / _CDF_NODES * _window_g(d, _CDF_NODES)
         x = x_theta[::-1]
         mass = masses[::-1]
     else:
-        x, w = graded_legendre(m, *d.support)
+        x, w = graded_legendre(_CDF_NODES, *d.support)
         mass = w * _smooth_callable(d)(x)
     cum = np.cumsum(mass)
     return x, cum - 0.5 * mass
 
 
-def density_cdf(d: DensitySpec, x: np.ndarray, m: int = 8192) -> np.ndarray:
+def density_cdf(d: DensitySpec, x: np.ndarray) -> np.ndarray:
     """Distribution function of the density at the given points."""
     x = np.asarray(x, dtype=float)
     if d.kind == "zero" or d.mass == 0.0:
@@ -571,11 +573,11 @@ def density_cdf(d: DensitySpec, x: np.ndarray, m: int = 8192) -> np.ndarray:
         return d.mass * (2.0 / np.pi) * np.arcsin(np.sqrt(u))
     if d.kind == "uniform":
         return d.mass * np.clip((x - a) / (b - a), 0.0, 1.0)
-    nodes, cum = _cdf_table(d, m)
+    nodes, cum = _cdf_table(d)
     return np.interp(x, nodes, cum, left=0.0, right=d.mass)
 
 
-def density_quantiles(d: DensitySpec, levels: np.ndarray, m: int = 8192) -> np.ndarray:
+def density_quantiles(d: DensitySpec, levels: np.ndarray) -> np.ndarray:
     """Points x with nu((0,x]) equal to the requested mass levels."""
     levels = np.asarray(levels, dtype=float)
     if d.kind == "zero" or d.mass == 0.0:
@@ -587,11 +589,11 @@ def density_quantiles(d: DensitySpec, levels: np.ndarray, m: int = 8192) -> np.n
         return a + (b - a) * np.sin(0.5 * np.pi * levels / d.mass) ** 2
     if d.kind == "uniform":
         return a + (b - a) * levels / d.mass
-    nodes, cum = _cdf_table(d, m)
+    nodes, cum = _cdf_table(d)
     return np.interp(levels, cum, nodes)
 
 
-def w1_empirical_to_density(xs: np.ndarray, d: DensitySpec, resolution: int = 20001) -> float:
+def w1_empirical_to_density(xs: np.ndarray, d: DensitySpec) -> float:
     """1-Wasserstein distance between an empirical sample and the density.
 
     The density is normalized to a probability measure; the distance is
@@ -601,7 +603,7 @@ def w1_empirical_to_density(xs: np.ndarray, d: DensitySpec, resolution: int = 20
     xs = np.sort(np.asarray(xs, dtype=float))
     if d.mass <= 0.0:
         raise ValidationError("need a density with positive mass")
-    t = np.linspace(0.0, 1.0, resolution)
+    t = np.linspace(0.0, 1.0, _W1_POINTS)
     fd = density_cdf(d, t) / d.mass
     fe = np.searchsorted(xs, t, side="right") / xs.size
     return float(np.trapezoid(np.abs(fe - fd), t))

@@ -18,6 +18,8 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import NumericalError, ValidationError
+from .grassmann import haar_unitary
+from .loggas import pair_energy, site_energy
 
 __all__ = [
     "EnsembleSpec",
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 _STRUCTURAL_TOL = 1e-8
+_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,6 @@ class McmcResult:
     autocorr_time: float
     step: float
 
-    def spectrum_samples(self, n0: int, n1: int) -> list[SpectrumSample]:
-        return [SpectrumSample(row, n0, n1) for row in self.samples]
-
 
 def structural_multiplicities(n_dim: int, k: int, l: int) -> tuple[int, int, int]:
     """Counts (n0 at 0, n1 at 1, n free) of the PQP spectrum.
@@ -116,32 +116,15 @@ def log_density(xs, spec: EnsembleSpec) -> float:
         return -math.inf
     if spec.psi is not None:
         total -= spec.N * float(np.sum(spec.psi(xs)))
-    if xs.size > 1:
-        diff = np.abs(xs[:, None] - xs[None, :])
-        iu = np.triu_indices(xs.size, k=1)
-        gaps = diff[iu]
-        if np.any(gaps == 0.0):
-            return -math.inf
-        total += 2.0 * float(np.sum(np.log(gaps)))
-    return total
+    return total + 2.0 * pair_energy(xs)
 
 
-def _batched_haar_projections(
-    n_dim: int, k: int, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    g = rng.standard_normal((trials, n_dim, n_dim)) + 1j * rng.standard_normal(
-        (trials, n_dim, n_dim)
-    )
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (d / np.abs(d))[:, None, :]
-    cols = u[:, :, :k]
+def _haar_projections(n_dim: int, k: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    cols = haar_unitary(n_dim, rng, (trials,))[:, :, :k]
     return cols @ np.conjugate(np.swapaxes(cols, -1, -2))
 
 
-def sample_spectra(
-    spec: EnsembleSpec, trials: int, seed, batch: int = 512
-) -> np.ndarray:
+def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
     """Nontrivial PQP eigenvalues for many independent pairs at once.
 
     Returns an array of shape (trials, n), each row sorted increasing.
@@ -153,14 +136,14 @@ def sample_spectra(
     if spec.psi is not None:
         raise ValidationError("direct sampling is only defined for the untilted model")
     n0, n1, n = spec.counts
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     tol = max(_STRUCTURAL_TOL, spec.N * 64 * np.finfo(float).eps)
     rows = []
     remaining = trials
     while remaining > 0:
-        t = min(batch, remaining)
-        p = _batched_haar_projections(spec.N, spec.k, t, rng)
-        q = _batched_haar_projections(spec.N, spec.l, t, rng)
+        t = min(_BATCH, remaining)
+        p = _haar_projections(spec.N, spec.k, t, rng)
+        q = _haar_projections(spec.N, spec.l, t, rng)
         vals = np.linalg.eigvalsh(p @ q @ p)
         if n0 and float(np.max(np.abs(vals[:, :n0]))) > tol:
             raise NumericalError("structural zero eigenvalues stray beyond tolerance")
@@ -174,8 +157,7 @@ def sample_spectra(
 def sample_uniform_pair_spectrum(spec: EnsembleSpec, seed) -> SpectrumSample:
     """One draw of the untilted model via two Haar projections."""
     n0, n1, _ = spec.counts
-    xs = sample_spectra(spec, 1, seed)[0]
-    return SpectrumSample(xs, n0, n1)
+    return SpectrumSample(sample_spectra(spec, 1, seed)[0], n0, n1)
 
 
 def selberg_log_z0(spec: EnsembleSpec) -> float:
@@ -198,12 +180,6 @@ def selberg_log_z0(spec: EnsembleSpec) -> float:
     )
 
 
-def _tilt_factor(spec: EnsembleSpec, x: np.ndarray, scale: float) -> np.ndarray:
-    if spec.psi is None or scale == 0.0:
-        return np.ones_like(x)
-    return np.exp(-scale * spec.N * np.asarray(spec.psi(x), dtype=float))
-
-
 def log_z_quadrature(spec: EnsembleSpec, nodes: int = 96, scale: float = 1.0) -> float:
     """Tensor Gauss-Legendre normalization constant for n <= 3.
 
@@ -221,26 +197,16 @@ def log_z_quadrature(spec: EnsembleSpec, nodes: int = 96, scale: float = 1.0) ->
     a, b = spec.exponents
     t, w = np.polynomial.legendre.leggauss(nodes)
     x = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    base = x**a * (1.0 - x) ** b * _tilt_factor(spec, x, scale)
-    if n == 1:
-        return float(np.log(np.sum(w * base)))
-    if n == 2:
-        dx = (x[:, None] - x[None, :]) ** 2
-        kernel = (w * base)[:, None] * (w * base)[None, :] * dx
-        return float(np.log(np.sum(kernel)))
-    dx01 = (x[:, None, None] - x[None, :, None]) ** 2
-    dx02 = (x[:, None, None] - x[None, None, :]) ** 2
-    dx12 = (x[None, :, None] - x[None, None, :]) ** 2
-    wb = w * base
-    kernel = (
-        wb[:, None, None]
-        * wb[None, :, None]
-        * wb[None, None, :]
-        * dx01
-        * dx02
-        * dx12
-    )
+    wb = 0.5 * w * x**a * (1.0 - x) ** b
+    if spec.psi is not None:
+        wb *= np.exp(-scale * spec.N * np.asarray(spec.psi(x), dtype=float))
+    kernel = np.ones((nodes,) * n)
+    for i in range(n):
+        # the i-th point runs along axis i of the n-dimensional tensor
+        xi = x.reshape((-1,) + (1,) * (n - 1 - i))
+        kernel *= wb.reshape(xi.shape)
+        for j in range(i):
+            kernel *= (xi - x.reshape((-1,) + (1,) * (n - 1 - j))) ** 2
     return float(np.log(np.sum(kernel)))
 
 
@@ -263,7 +229,7 @@ def mcmc_tilted_spectrum(
     _, _, n = spec.counts
     if n < 1:
         raise ValidationError("the model has no free eigenvalues to sample")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     a, b = spec.exponents
 
@@ -290,15 +256,7 @@ def mcmc_tilted_spectrum(
             if new_point == -math.inf:
                 continue
             delta = new_point - point_terms[i]
-            others = np.delete(x, i)
-            old_gaps = np.abs(x[i] - others)
-            if np.any(old_gaps == 0.0):
-                delta = math.inf
-            else:
-                new_gaps = np.abs(xi - others)
-                if np.any(new_gaps == 0.0):
-                    continue
-                delta += 2.0 * float(np.sum(np.log(new_gaps) - np.log(old_gaps)))
+            delta += 2.0 * (site_energy(x, i, xi) - site_energy(x, i, x[i]))
             if delta >= 0.0 or math.log(rng.uniform()) < delta:
                 x[i] = xi
                 point_terms[i] = new_point
@@ -368,7 +326,7 @@ def log_z_thermodynamic(
     """
     if spec.psi is None:
         return selberg_log_z0(spec), 0.0
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     t, w = np.polynomial.legendre.leggauss(gauss_points)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
@@ -428,7 +386,7 @@ def lsi_matrix_report(
         raise ValidationError("the comparison needs a tilt; the untilted gap is zero")
     _, _, n = spec.counts
     log_z0 = selberg_log_z0(spec)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if n <= 3:
         log_z_psi = log_z_quadrature(spec, nodes=grid)
         log_z_se = 0.0

@@ -53,7 +53,8 @@ __all__ = [
 
 _LOG2 = float(np.log(2.0))
 _TOL = 1e-6  # flatness of the first-order condition
-_FULL_START_NODES = 64  # the active-set recursion starts from full support here
+_EXACT = 1e-12  # flatness at which a level's starting masses need no solve
+_FULL_START_NODES = 64  # the active-set recursion starts from uniform masses here
 _MAX_ROUNDS = 60  # active-set rounds per level
 
 
@@ -278,19 +279,31 @@ def _active_set(
     """
     _, x_theta = _nodes_on_unit(m)
     w = tilt(x_theta)
+    k = np.arange(1, m)
+
+    def deviation(masses: np.ndarray) -> tuple[np.ndarray, float]:
+        # the first-order check runs on the transform gradient, independent
+        # of the matrix that produced the masses; flatness is its sup on
+        # the support
+        c = moments_from_masses(masses)
+        upot = mass * (-2.0 * _LOG2) - 2.0 * cosine_series_at_angles(c[1:] / k, m)
+        grad = 0.5 * (upot + w)
+        dev = grad - float(np.dot(masses, grad)) / mass
+        return dev, float(np.max(np.abs(dev[active])))
+
     if m <= _FULL_START_NODES:
-        active = np.ones(m, dtype=bool)
+        masses = np.full(m, mass / m)
         rounds = 0
     else:
         coarse_m = m // 4
         coarse, _, _, _, rounds = _active_set(tilt, mass, coarse_m)
-        nearest = (2 * np.arange(m) + 1) * coarse_m // (2 * m)
-        active = (coarse > 0.0)[nearest]
+        masses = coarse[(2 * np.arange(m) + 1) * coarse_m // (2 * m)]
+        masses *= mass / np.sum(masses)
+    active = masses > 0.0
+    dev, flat = deviation(masses)
+    if flat <= _EXACT and not np.any(~active & (dev > _TOL)):
+        return masses, _objective(masses, w), flat, True, rounds
     s = _energy_kernel(m)
-    k = np.arange(1, m)
-    masses = np.full(m, mass / m)
-    flat = np.inf
-    converged = False
     for _ in range(_MAX_ROUNDS):
         rounds += 1
         idx = np.flatnonzero(active)
@@ -308,21 +321,14 @@ def _active_set(
         masses = np.zeros(m)
         masses[idx] = np.maximum(m_sub, 0.0)
         masses *= mass / np.sum(masses)
-        # the first-order check runs on the transform gradient, independent
-        # of the matrix that produced the masses
-        c = moments_from_masses(masses)
-        upot = mass * (-2.0 * _LOG2) - 2.0 * cosine_series_at_angles(c[1:] / k, m)
-        grad = 0.5 * (upot + w)
-        dev = grad - float(np.dot(masses, grad)) / mass
-        flat = float(np.max(np.abs(dev[active])))
+        dev, flat = deviation(masses)
         if flat > _TOL:
             break
         joiners = ~active & (dev > _TOL)
         if not np.any(joiners):
-            converged = True
-            break
+            return masses, _objective(masses, w), flat, True, rounds
         active |= joiners
-    return masses, _objective(masses, w), flat, converged, rounds
+    return masses, _objective(masses, w), flat, False, rounds
 
 
 def equilibrium_solve(
@@ -345,9 +351,12 @@ def equilibrium_solve(
     gradient exceeds the support level by more than 1e-6.  It stops when
     the first-order condition, evaluated through the Chebyshev
     transforms, is flat to 1e-6 on the support and no outside node
-    qualifies.  The loop starts from the support of the same solve at
-    grid // 4, applied recursively, and from full support at 64 nodes or
-    fewer; iterations counts the rounds over all levels.
+    qualifies.  Each level starts from the same solve at grid // 4,
+    carried to the nearest nodes, and the coarsest (64 nodes or fewer)
+    from uniform masses; a start already flat to 1e-12 with no
+    qualifying outside node is returned without a factorization.
+    iterations counts the rounds over all levels; it is 0 when every
+    start is exact, as for the untilted free pair at (1/2, 1/2).
 
     B_h is evaluated by re-running the entropy functionals on the
     returned density, so that the relative entropy of the maximizer

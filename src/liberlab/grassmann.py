@@ -124,17 +124,20 @@ class TangentVector:
             raise ValidationError("tangent matrix must have zero diagonal blocks")
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-distributed unitary from a complex Gaussian matrix.
 
     QR factorization of a Ginibre matrix followed by normalizing the
     diagonal of R to positive reals, which removes the phase ambiguity
-    and makes the factor exactly Haar.
+    and makes the factor exactly Haar.  A nonempty batch draws a stack
+    of independent unitaries of shape batch + (n, n).
     """
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g / np.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    shape = (*batch, n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g /= np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def sample_haar_projection(n: int, k: int, seed) -> GrassmannPoint:
@@ -145,8 +148,7 @@ def sample_haar_projection(n: int, k: int, seed) -> GrassmannPoint:
     """
     if not 0 <= k <= n:
         raise ValidationError("rank must lie between 0 and the dimension")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = haar_unitary(n, rng)
+    u = haar_unitary(n, np.random.default_rng(seed))
     cols = u[:, :k]
     p = cols @ cols.conj().T
     p = 0.5 * (p + p.conj().T)

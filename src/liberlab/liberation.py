@@ -27,6 +27,7 @@ from .entropy import _constant_from_traces, chi_proj
 from .errors import NumericalError, ValidationError
 from .grids import DEFAULT_GRID
 from .laws import ProjectionPairLaw
+from .loggas import pair_energy, pair_force
 
 __all__ = [
     "FlowRecord",
@@ -81,18 +82,13 @@ class FlowState:
         return self.atoms[3] + self.atoms[0]
 
 
-def _pairwise_sum(x: np.ndarray, mass: float) -> np.ndarray:
-    """Leave-one-out interaction (mass/n) sum_{j != i} 1/(x_i - x_j)."""
-    diff = np.subtract.outer(x, x)
-    np.fill_diagonal(diff, np.inf)
-    np.reciprocal(diff, out=diff)
-    return (mass / x.size) * np.sum(diff, axis=1)
+_DT0, _DT_MIN, _DT_MAX = 1e-3, 1e-12, 0.02  # first step, collapse floor, cap
 
 
 def _velocity(state: FlowState, x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Transport velocity at positions x; h is the pairwise sum at x if known."""
+    """Transport velocity at positions x; h is (mass/n) pair_force(x) if known."""
     if h is None:
-        h = _pairwise_sum(x, state.mass)
+        h = (state.mass / x.size) * pair_force(x)
     return x * (1.0 - x) * h + state.coeff_at_0 * (1.0 - x) - state.coeff_at_1 * x
 
 
@@ -110,13 +106,7 @@ def _chi_hat(state: FlowState, x: np.ndarray) -> float:
     level.
     """
     w = state.mass / x.size
-    # sum of log|x_i - x_j| over i != j: log 1 = 0 on the diagonal, and
-    # the full symmetric matrix counts each pair twice
-    gaps = np.subtract.outer(x, x)
-    np.abs(gaps, out=gaps)
-    np.fill_diagonal(gaps, 1.0)
-    np.log(gaps, out=gaps)
-    sigma = w * w * float(np.sum(gaps))
+    sigma = w * w * 2.0 * pair_energy(x)
     log0 = w * float(np.sum(np.log(x)))
     log1 = w * float(np.sum(np.log1p(-x)))
     _, c_const = _constant_from_traces(state.alpha, state.beta)
@@ -131,7 +121,7 @@ def _chi_hat(state: FlowState, x: np.ndarray) -> float:
 def _phi_hat(state: FlowState, x: np.ndarray, h: np.ndarray | None = None) -> float:
     """Particle estimate of the Fisher integral phi^2 x(1-x) dnu; h as in _velocity."""
     if h is None:
-        h = _pairwise_sum(x, state.mass)
+        h = (state.mass / x.size) * pair_force(x)
     phi = h + state.coeff_at_0 / x - state.coeff_at_1 / (1.0 - x)
     return (state.mass / x.size) * float(np.sum(phi**2 * x * (1.0 - x)))
 
@@ -173,40 +163,36 @@ def init_flow(
 
 
 def _step_ok(x: np.ndarray, proposal: np.ndarray) -> bool:
-    if np.any(proposal <= 0.0) or np.any(proposal >= 1.0):
+    """Every check is a positive condition, so a NaN anywhere fails it."""
+    if not (np.all(proposal > 0.0) and np.all(proposal < 1.0)):
         return False
-    if np.any(np.diff(proposal) <= 0.0):
+    if not np.all(np.diff(proposal) > 0.0):
         return False
     if x.size > 1:
         gaps = np.diff(x)
         limit = 0.5 * np.minimum(np.append(gaps, gaps[-1]), np.append(gaps[0], gaps))
-        if np.any(np.abs(proposal - x) > limit):
-            return False
+        return bool(np.all(np.abs(proposal - x) <= limit))
     return True
 
 
-def flow_evolve(
-    state: FlowState,
-    t_final: float,
-    dt0: float = 1e-3,
-    dt_min: float = 1e-12,
-    dt_max: float = 0.02,
-) -> FlowState:
+def flow_evolve(state: FlowState, t_final: float) -> FlowState:
     """Advance the particle flow to a target time.
 
-    Classical fourth-order steps with a conservative acceptance rule:
-    a step is rejected and halved whenever any particle would leave
-    (0,1), cross a neighbor, or move more than half the gap to one.
-    Accepted steps grow the step size again and append a history record
-    with the energy and Fisher estimates and the running integral of
-    half the Fisher estimate (trapezoid in time).
+    Classical fourth-order steps from dt = 1e-3 with a conservative
+    acceptance rule: a step is rejected and halved whenever any particle
+    would leave (0,1), cross a neighbor, or move more than half the gap
+    to one, and a step below 1e-12 raises NumericalError carrying the
+    partial state.  Accepted steps grow the step size by 1.2, up to the
+    cap 0.02, and append a history record with the energy and Fisher
+    estimates and the running integral of half the Fisher estimate
+    (trapezoid in time).
 
     The step cap matters once the system crowds against an endpoint:
     the local relaxation rate of the outermost particle grows like n,
     so explicit steps beyond a few multiples of 1/n put that particle
     on the wrong side of the stability boundary and its oscillation can
     make the energy wobble at the 1e-5 scale before a rejection
-    catches it.  The default cap keeps systems with n up to a few
+    catches it.  The cap keeps systems with n up to a few
     hundred unconditionally stable; finer systems self-cap through the
     rejection rule.
     """
@@ -214,11 +200,11 @@ def flow_evolve(
         raise ValidationError("cannot flow backward in time")
     x = state.particles.copy()
     t = state.t
-    dt = min(dt0, dt_max)
+    dt = _DT0
     history = list(state.history)
     # the pairwise sum at the accepted positions serves both the Fisher
     # estimate of the step that reached them and the next step's k1
-    h = _pairwise_sum(x, state.mass)
+    h = (state.mass / x.size) * pair_force(x)
     last = history[-1] if history else FlowRecord(t, _chi_hat(state, x), _phi_hat(state, x, h), 0.0)
     if not history:
         history.append(last)
@@ -231,20 +217,15 @@ def flow_evolve(
         proposal = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not _step_ok(x, proposal):
             dt *= 0.5
-            if dt < dt_min:
-                failed = replace(
-                    state, particles=x, t=t, history=tuple(history)
-                )
-                err = NumericalError(
-                    f"particle step collapsed below dt_min at t={t:.6g}"
-                )
-                err.state = failed
+            if dt < _DT_MIN:
+                err = NumericalError(f"particle step collapsed below dt_min at t={t:.6g}")
+                err.state = replace(state, particles=x, t=t, history=tuple(history))
                 raise err
             continue
         x = proposal
         t += dt
-        dt = min(dt * 1.2, dt_max)
-        h = _pairwise_sum(x, state.mass)
+        dt = min(dt * 1.2, _DT_MAX)
+        h = (state.mass / x.size) * pair_force(x)
         k1 = _velocity(state, x, h)
         chi_hat = _chi_hat(state, x)
         phi_hat = _phi_hat(state, x, h)

@@ -100,6 +100,15 @@ def test_equilibrium_recovers_free_density():
         assert abs(res.B_h) < 1e-7
 
 
+def test_exact_start_needs_no_active_set_round():
+    """Uniform node masses solve the untilted (1/2, 1/2) problem exactly."""
+    exact = equilibrium_solve(0.5, 0.5, None, M)
+    assert exact.converged and exact.iterations == 0
+    assert exact.flatness <= 1e-12
+    assert abs(exact.B_h) <= 1e-14
+    assert equilibrium_solve(0.3, 0.6, None, M).iterations > 0
+
+
 def test_equilibrium_tilted_flatness_and_Bh():
     h = poly_potential((0.0, 0.0, 0.5))
     res = equilibrium_solve(0.5, 0.5, h, M)

@@ -10,8 +10,8 @@ from liberlab.laws import ProjectionPairLaw, free_pair_law
 from liberlab.liberation import (
     FlowState,
     _chi_hat,
-    _pairwise_sum,
     _phi_hat,
+    _step_ok,
     flow_diagnostics,
     flow_evolve,
     init_flow,
@@ -71,9 +71,6 @@ def test_flow_kernels_match_the_pairwise_references(rng):
     state = init_flow(UNIFORM, 96)
     x = np.sort(rng.uniform(0.01, 0.99, 96))
     w = state.mass / x.size
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    assert np.array_equal(_pairwise_sum(x, state.mass), w * np.sum(1.0 / diff, axis=1))
 
     # atomless law at traces (1/2, 1/2): chi_hat = Sigma/4 - C with C = -log(2)/2
     iu = np.triu_indices(x.size, k=1)
@@ -120,6 +117,12 @@ def test_step_collapse_reports_the_partial_state():
         flow_evolve(jammed, 1.0)
     assert isinstance(info.value.state, FlowState)
     assert info.value.state.t == 0.0
+
+
+def test_step_check_rejects_nan():
+    x = np.array([0.2, 0.4, 0.6])
+    assert _step_ok(x, x.copy())
+    assert not _step_ok(x, np.array([0.2, np.nan, 0.6]))
 
 
 def test_uniform_flow_production_and_relaxation():

@@ -1,0 +1,78 @@
+"""Log-gas pair kernel: dense references, derivatives, recorded runs."""
+
+import json
+
+import numpy as np
+import pytest
+
+from liberlab.densities import uniform_density
+from liberlab.ensemble import EnsembleSpec, mcmc_tilted_spectrum
+from liberlab.laws import ProjectionPairLaw
+from liberlab.liberation import istar
+from liberlab.loggas import pair_energy, pair_force, site_energy
+from liberlab.potentials import PsiSpec
+
+from conftest import FIXTURES
+
+UNIFORM = ProjectionPairLaw(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, uniform_density(1.0))
+ORACLE = json.loads((FIXTURES / "loggas_oracle.json").read_text())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 96])
+def test_pair_energy_matches_the_upper_triangle_sum(rng, n):
+    x = np.sort(rng.uniform(0.01, 0.99, n))
+    iu = np.triu_indices(n, k=1)
+    expected = float(np.sum(np.log(np.abs(x[:, None] - x[None, :])[iu])))
+    assert pair_energy(x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_pair_energy_is_minus_infinity_on_coincident_points():
+    assert pair_energy(np.array([0.2, 0.4, 0.4])) == -np.inf
+
+
+def test_pair_force_is_the_dense_reciprocal_row_sum(rng):
+    x = np.sort(rng.uniform(0.01, 0.99, 96))
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, np.inf)
+    assert np.array_equal(pair_force(x), np.sum(1.0 / diff, axis=1))
+
+
+def test_pair_force_is_the_gradient_of_pair_energy(rng):
+    x = np.sort(rng.uniform(0.01, 0.99, 24))
+    s = 1e-6
+    numeric = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = s
+        numeric[i] = (pair_energy(x + e) - pair_energy(x - e)) / (2.0 * s)
+    assert np.max(np.abs(pair_force(x) - numeric)) <= 1e-7 * np.max(np.abs(numeric))
+
+
+def test_site_energy_difference_is_the_pair_energy_change(rng):
+    x = np.sort(rng.uniform(0.01, 0.99, 16))
+    for i, y in [(0, 0.005), (7, 0.5), (15, 0.995)]:
+        moved = x.copy()
+        moved[i] = y
+        change = site_energy(x, i, y) - site_energy(x, i, x[i])
+        assert change == pytest.approx(pair_energy(moved) - pair_energy(x), rel=1e-12, abs=0.0)
+    # every pair is counted once from each end
+    total = sum(site_energy(x, i, x[i]) for i in range(x.size))
+    assert total == pytest.approx(2.0 * pair_energy(x), rel=1e-12, abs=0.0)
+
+
+def test_flow_matches_the_recorded_run():
+    rec = ORACLE["istar"]
+    rep = istar(UNIFORM, rec["n"], rec["t_max"])
+    assert len(rep.state.history) == rec["records"]
+    assert rep.value == pytest.approx(rec["value"], rel=1e-12, abs=0.0)
+    assert rep.integrated == pytest.approx(rec["integrated"], rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(rep.state.particles, rec["particles"], rtol=1e-12, atol=0.0)
+
+
+def test_metropolis_chain_matches_the_recorded_run():
+    rec = ORACLE["mcmc"]
+    spec = EnsembleSpec(rec["N"], rec["k"], rec["l"], PsiSpec(tuple(rec["psi"])))
+    chain = mcmc_tilted_spectrum(spec, rec["seed"], count=rec["count"], burn_in=rec["burn_in"])
+    np.testing.assert_allclose(chain.samples, rec["samples"], rtol=1e-12, atol=0.0)
+    assert chain.acceptance == pytest.approx(rec["acceptance"], rel=1e-12, abs=0.0)
+    assert chain.autocorr_time == pytest.approx(rec["tau"], rel=1e-12, abs=0.0)
