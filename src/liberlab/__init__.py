@@ -102,7 +102,6 @@ _EXPORTS = {
     "sample_uniform_pair_spectrum": "ensemble",
     "selberg_log_z0": "ensemble",
     "log_z_quadrature": "ensemble",
-    "log_z_thermodynamic": "ensemble",
     "mcmc_tilted_spectrum": "ensemble",
     "lsi_matrix_report": "ensemble",
     # liberation

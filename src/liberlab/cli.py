@@ -211,7 +211,7 @@ def _cmd_sample(config: RunConfig) -> None:
 
     if config.N is None or config.k is None or config.l is None:
         raise ValidationError("sample needs --N, --k, and --l")
-    trials = config.trials or 1
+    trials = 1 if config.trials is None else config.trials
     spec = EnsembleSpec(config.N, config.k, config.l)
     spectra = sample_spectra(spec, trials, config.seed)
     rows = [
@@ -243,7 +243,7 @@ def _cmd_verify_ricci(config: RunConfig) -> None:
 
     if config.N is None or config.k is None:
         raise ValidationError("verify-ricci needs --N and --k")
-    trials = config.trials or 100
+    trials = 100 if config.trials is None else config.trials
     rng = np.random.default_rng(config.seed)
     basis = tangent_basis(config.N, config.k)
     worst = 0.0
@@ -274,7 +274,7 @@ def _cmd_verify_gradient(config: RunConfig) -> None:
     if config.N is None:
         raise ValidationError("verify-gradient needs --N")
     psi = parse_psi(config.psi) if config.psi else parse_psi("poly:0,0,1")
-    trials = config.trials or 20
+    trials = 20 if config.trials is None else config.trials
     rng = np.random.default_rng(config.seed)
     rows = []
     worst = 0.0
@@ -419,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         if args.grid is not None and args.grid < 1:
             raise ValidationError(f"--grid must be a positive integer, got {args.grid}")
+        if args.trials is not None and args.trials < 1:
+            raise ValidationError(f"--trials must be a positive integer, got {args.trials}")
         config = RunConfig(
             command=args.command,
             law=args.law,

@@ -4,9 +4,11 @@ The eigenvalues of PQP for independent rank-k and rank-l projections in
 dimension N split into structural batches pinned at 0 and 1 plus n free
 points in (0,1) whose joint law is a Jacobi-type log-gas, optionally
 tilted by exp(-N sum psi(x_i)).  The module provides the exact counts,
-the unnormalized log density, direct and Markov-chain samplers, Selberg
-and quadrature normalization constants, and the relative-entropy versus
-Dirichlet-form comparison for the tilted model.
+the unnormalized log density, direct and Markov-chain samplers, the
+Selberg constant, and the orthogonal polynomials of the tilted weight,
+which give the normalization and the one-point density exactly and
+with them the relative-entropy versus Dirichlet-form comparison for
+the tilted model.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, roots_jacobi, xlogy
 
 from .errors import NumericalError, ValidationError
 from .grassmann import haar_unitary
@@ -32,7 +34,6 @@ __all__ = [
     "sample_spectra",
     "selberg_log_z0",
     "log_z_quadrature",
-    "log_z_thermodynamic",
     "mcmc_tilted_spectrum",
     "lsi_matrix_report",
 ]
@@ -119,37 +120,33 @@ def log_density(xs, spec: EnsembleSpec) -> float:
     return total + 2.0 * pair_energy(xs)
 
 
-def _haar_projections(n_dim: int, k: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    cols = haar_unitary(n_dim, rng, (trials,))[:, :, :k]
-    return cols @ np.conjugate(np.swapaxes(cols, -1, -2))
-
-
 def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
     """Nontrivial PQP eigenvalues for many independent pairs at once.
 
     Returns an array of shape (trials, n), each row sorted increasing.
-    Sampling, multiplication, and diagonalization run on stacked arrays
-    in batches, which is what makes 1e5 draws at small N affordable.
-    Structural eigenvalues must sit at 0 and 1 within tolerance or the
-    draw is rejected as an eigensolver failure.
+    With P = V V* and Q = W W* for Haar frames V (N x k) and W (N x l),
+    the nonzero spectrum of PQP is the squared singular values of the
+    k x l block V* W, so the N - min(k, l) zero eigenvalues are never
+    formed and need no check.  Draws run on stacked arrays in batches,
+    which is what makes 1e5 draws at small N affordable.  The k + l - N
+    structural eigenvalues must sit at 1 within tolerance or the draw
+    is rejected as a solver failure.
     """
     if spec.psi is not None:
         raise ValidationError("direct sampling is only defined for the untilted model")
-    n0, n1, n = spec.counts
+    _, n1, _ = spec.counts
     rng = np.random.default_rng(seed)
     tol = max(_STRUCTURAL_TOL, spec.N * 64 * np.finfo(float).eps)
     rows = []
     remaining = trials
     while remaining > 0:
         t = min(_BATCH, remaining)
-        p = _haar_projections(spec.N, spec.k, t, rng)
-        q = _haar_projections(spec.N, spec.l, t, rng)
-        vals = np.linalg.eigvalsh(p @ q @ p)
-        if n0 and float(np.max(np.abs(vals[:, :n0]))) > tol:
-            raise NumericalError("structural zero eigenvalues stray beyond tolerance")
-        if n1 and float(np.max(np.abs(vals[:, spec.N - n1 :] - 1.0))) > tol:
+        v = haar_unitary(spec.N, rng, (t,), spec.k)
+        w = haar_unitary(spec.N, rng, (t,), spec.l)
+        vals = np.linalg.svd(np.conjugate(np.swapaxes(v, -1, -2)) @ w, compute_uv=False) ** 2
+        if n1 and float(np.max(np.abs(vals[:, :n1] - 1.0))) > tol:
             raise NumericalError("structural unit eigenvalues stray beyond tolerance")
-        rows.append(np.clip(vals[:, n0 : spec.N - n1], 0.0, 1.0))
+        rows.append(np.clip(vals[:, n1:][:, ::-1], 0.0, 1.0))
         remaining -= t
     return np.concatenate(rows, axis=0)
 
@@ -180,34 +177,54 @@ def selberg_log_z0(spec: EnsembleSpec) -> float:
     )
 
 
-def log_z_quadrature(spec: EnsembleSpec, nodes: int = 96, scale: float = 1.0) -> float:
-    """Tensor Gauss-Legendre normalization constant for n <= 3.
+def _christoffel(spec: EnsembleSpec, nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exact beta = 2 side of the model from its orthogonal polynomials.
 
-    Integrates the tilted density over [0,1]^n exactly enough for
-    acceptance work (the integrand is polynomial times a smooth tilt).
-    scale multiplies the tilt exponent, which thermodynamic integration
-    uses for intermediate temperatures.  nodes runs from 1 to 256, which
-    bounds the n = 3 tensor at 256^3 entries.
+    The weight w = x^a (1-x)^b exp(-N psi) is discretized on `nodes`
+    Gauss-Jacobi points for x^a (1-x)^b; a Lanczos (discretized
+    Stieltjes) run of length n on diag(x), started from sqrt(w) and
+    fully reorthogonalized, gives the orthonormal polynomials v_k at the
+    nodes and the monic norms h_k = h_0 prod_{j<=k} beta_j^2.  Returns
+    the nodes, the one-point weights sum_{k<n} v_k(x_m)^2 (so that
+    E[sum f(x_i)] = sum_m f(x_m) times them, Christoffel-Darboux) and
+    log Z_psi = log n! + sum_k log h_k (Heine).  Log-weights are shifted
+    by their maximum before exponentiation; sqrt(w) spans half the
+    log-range of w, so nodes drop out by underflow only once
+    N (max psi - min psi) exceeds about 1.5e3.
     """
-    _, _, n = spec.counts
-    if n > 3:
-        raise ValidationError("tensor quadrature is limited to three free points")
-    if not 1 <= nodes <= 256:
-        raise ValidationError("tensor quadrature takes 1 to 256 nodes per axis (--grid)")
     a, b = spec.exponents
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    x = 0.5 * (t + 1.0)
-    wb = 0.5 * w * x**a * (1.0 - x) ** b
+    _, _, n = spec.counts
+    if nodes < n:
+        raise ValidationError(f"the recurrence needs at least n = {n} nodes (--grid), got {nodes}")
+    t, lam = roots_jacobi(nodes, b, a)
+    x = 0.5 * (1.0 + t)
+    log_w = np.log(lam) - (a + b + 1) * math.log(2.0)
     if spec.psi is not None:
-        wb *= np.exp(-scale * spec.N * np.asarray(spec.psi(x), dtype=float))
-    kernel = np.ones((nodes,) * n)
-    for i in range(n):
-        # the i-th point runs along axis i of the n-dimensional tensor
-        xi = x.reshape((-1,) + (1,) * (n - 1 - i))
-        kernel *= wb.reshape(xi.shape)
-        for j in range(i):
-            kernel *= (xi - x.reshape((-1,) + (1,) * (n - 1 - j))) ** 2
-    return float(np.log(np.sum(kernel)))
+        log_w -= spec.N * np.asarray(spec.psi(x), dtype=float)
+    shift = float(np.max(log_w))
+    v = np.empty((n, nodes))
+    v[0] = np.exp(0.5 * (log_w - shift))
+    h0 = float(v[0] @ v[0])
+    v[0] /= math.sqrt(h0)
+    log_z = float(gammaln(n + 1)) + n * (math.log(h0) + shift)
+    for k in range(1, n):
+        r = x * v[k - 1]
+        for _ in range(2):
+            r -= (v[:k] @ r) @ v[:k]
+        beta = float(np.linalg.norm(r))
+        v[k] = r / beta
+        log_z += 2.0 * (n - k) * math.log(beta)
+    return x, np.einsum("km,km->m", v, v), log_z
+
+
+def log_z_quadrature(spec: EnsembleSpec, nodes: int = 96) -> float:
+    """log Z_psi of the free-eigenvalue density from the recurrence.
+
+    Exact up to the Gauss-Jacobi rule on `nodes` points (at least the
+    number n of free points) applied to exp(-N psi): for psi = None it
+    reproduces the Selberg constant to rounding.
+    """
+    return _christoffel(spec, nodes)[2]
 
 
 def mcmc_tilted_spectrum(
@@ -215,7 +232,6 @@ def mcmc_tilted_spectrum(
     seed,
     count: int = 4000,
     burn_in: int = 10_000,
-    scale: float = 1.0,
 ) -> McmcResult:
     """Random-walk Metropolis chain for the tilted eigenvalue law.
 
@@ -238,7 +254,7 @@ def mcmc_tilted_spectrum(
             return -math.inf
         val = a * math.log(xi) + b * math.log1p(-xi)
         if spec.psi is not None:
-            val -= scale * spec.N * float(spec.psi(xi))
+            val -= spec.N * float(spec.psi(xi))
         return val
 
     x = np.sort(rng.uniform(0.2, 0.8, size=n))
@@ -256,7 +272,8 @@ def mcmc_tilted_spectrum(
             if new_point == -math.inf:
                 continue
             delta = new_point - point_terms[i]
-            delta += 2.0 * (site_energy(x, i, xi) - site_energy(x, i, x[i]))
+            moved, stayed = site_energy(x, i, np.array((xi, x[i])))
+            delta += 2.0 * (moved - stayed)
             if delta >= 0.0 or math.log(rng.uniform()) < delta:
                 x[i] = xi
                 point_terms[i] = new_point
@@ -311,35 +328,6 @@ def _autocorr_time(series: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
-def log_z_thermodynamic(
-    spec: EnsembleSpec,
-    seed,
-    count: int = 2000,
-    gauss_points: int = 16,
-) -> tuple[float, float]:
-    """Normalization of the tilted model by integrating over temperature.
-
-    d/dt log Z(t) = -N E_t[sum psi(x_i)] for the model tilted by t*psi,
-    integrated over t in [0,1] by a Gauss rule from the exact untilted
-    constant.  Returns (log Z, standard error) with chain errors summed
-    in quadrature across temperature nodes.
-    """
-    if spec.psi is None:
-        return selberg_log_z0(spec), 0.0
-    rng = np.random.default_rng(seed)
-    t, w = np.polynomial.legendre.leggauss(gauss_points)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    total = selberg_log_z0(spec)
-    var = 0.0
-    for ti, wi in zip(t, w):
-        chain = mcmc_tilted_spectrum(spec, rng, count=count, scale=float(ti))
-        vals = np.sum(np.asarray(spec.psi(chain.samples), dtype=float), axis=1)
-        total += wi * (-spec.N) * float(np.mean(vals))
-        var += (wi * spec.N) ** 2 * float(np.var(vals, ddof=1)) / vals.size
-    return total, math.sqrt(var)
-
-
 @dataclass(frozen=True)
 class MatrixLsiReport:
     """Both sides of the finite-N entropy inequality for a tilted model.
@@ -347,8 +335,10 @@ class MatrixLsiReport:
     entropy is the relative entropy of the tilted spectrum law with
     respect to the untilted one; dirichlet is (1/2N) times the expected
     squared gradient of the log density ratio, evaluated through the
-    spectral closed form.  margin = dirichlet - entropy, with a Monte
-    Carlo standard error; the inequality asserts margin >= 0.
+    spectral closed form.  margin = dirichlet - entropy, whose
+    margin_se is the change of the margin when the quadrature is
+    refined from M to 2M nodes; the inequality asserts margin >= 0.
+    log_z_se is 0: the normalization has no sampling error.
     """
 
     entropy: float
@@ -359,64 +349,51 @@ class MatrixLsiReport:
     log_z_psi: float
     log_z_se: float
     mean_psi_sum: float
-    acceptance: float
-    autocorr_time: float
-    samples: int
     mode: str
+
+
+def _exact_sides(spec: EnsembleSpec, nodes: int, log_z0: float) -> tuple[float, float, float, float]:
+    """(entropy, dirichlet, log Z_psi, E[sum psi]) from the recurrence on `nodes` points."""
+    x, rho, log_z_psi = _christoffel(spec, nodes)
+    mean_psi = float(rho @ np.asarray(spec.psi(x), dtype=float))
+    dpsi = np.asarray(spec.psi.derivative(x), dtype=float)
+    dirichlet = 2.0 * spec.N * float(rho @ (dpsi**2 * x * (1.0 - x)))
+    return log_z0 - log_z_psi - spec.N * mean_psi, dirichlet, log_z_psi, mean_psi
 
 
 def lsi_matrix_report(
     spec: EnsembleSpec,
-    grid: int = 96,
+    grid: int | None = None,
     seed=0,
     count: int = 4000,
 ) -> MatrixLsiReport:
     """Relative entropy versus scaled Dirichlet form for a tilted model.
 
     entropy = log Z0 - log Zpsi - N E[sum psi]; the Dirichlet side is
-    2N E[sum psi'(x_i)^2 x_i(1-x_i)].  Normalization constants come from
-    tensor quadrature (grid Gauss-Legendre nodes per axis, 1 to 256)
-    when the model has at most three free points and from
-    thermodynamic integration otherwise; expectations always come
-    from the Metropolis chain, so the margin carries a standard error.
-    Both per-sample statistics are combined into one margin series
-    before the error is estimated, since they share the chain.
+    2N E[sum psi'(x_i)^2 x_i(1-x_i)].  At beta = 2 both are exact from
+    the orthogonal polynomials of the weight (see _christoffel): grid is
+    the number M of Gauss-Jacobi nodes, default max(96, 2n), and at
+    least n.  The report carries the values at 2M nodes and
+    margin_se = |margin(2M) - margin(M)|; a refinement error above
+    1e-8 max(1, |margin|), as when exp(-N psi) spans more than the
+    double range, raises NumericalError instead of returning a number.
+    seed and count are accepted for compatibility and no longer change
+    the result.
     """
     if spec.psi is None:
         raise ValidationError("the comparison needs a tilt; the untilted gap is zero")
     _, _, n = spec.counts
+    nodes = max(96, 2 * n) if grid is None else grid
     log_z0 = selberg_log_z0(spec)
-    rng = np.random.default_rng(seed)
-    if n <= 3:
-        log_z_psi = log_z_quadrature(spec, nodes=grid)
-        log_z_se = 0.0
-        mode = "quadrature"
-    else:
-        log_z_psi, log_z_se = log_z_thermodynamic(spec, rng, count=count)
-        mode = "thermodynamic"
-    chain = mcmc_tilted_spectrum(spec, rng, count=count)
-    xs = chain.samples
-    psi_sum = np.sum(np.asarray(spec.psi(xs), dtype=float), axis=1)
-    dpsi = np.asarray(spec.psi.derivative(xs), dtype=float)
-    dirichlet_samples = 2.0 * spec.N * np.sum(dpsi**2 * xs * (1.0 - xs), axis=1)
-    margin_samples = dirichlet_samples + spec.N * psi_sum
-    margin = float(np.mean(margin_samples)) + log_z_psi - log_z0
-    margin_se = float(np.std(margin_samples, ddof=1)) / math.sqrt(margin_samples.size)
-    margin_se = math.hypot(margin_se, log_z_se)
-    mean_psi = float(np.mean(psi_sum))
-    entropy = log_z0 - log_z_psi - spec.N * mean_psi
-    dirichlet = float(np.mean(dirichlet_samples))
+    coarse_entropy, coarse_dirichlet, _, _ = _exact_sides(spec, nodes, log_z0)
+    entropy, dirichlet, log_z_psi, mean_psi = _exact_sides(spec, 2 * nodes, log_z0)
+    margin = dirichlet - entropy
+    margin_se = abs(margin - (coarse_dirichlet - coarse_entropy))
+    if not margin_se <= 1e-8 * max(1.0, abs(margin)):
+        raise NumericalError(
+            f"the margin moved by {margin_se:.3e} from {nodes} to {2 * nodes} nodes; "
+            "exp(-N psi) is not resolved"
+        )
     return MatrixLsiReport(
-        entropy,
-        dirichlet,
-        margin,
-        margin_se,
-        log_z0,
-        log_z_psi,
-        log_z_se,
-        mean_psi,
-        chain.acceptance,
-        chain.autocorr_time,
-        int(xs.shape[0]),
-        mode,
+        entropy, dirichlet, margin, margin_se, log_z0, log_z_psi, 0.0, mean_psi, "quadrature"
     )

@@ -124,16 +124,20 @@ class TangentVector:
             raise ValidationError("tangent matrix must have zero diagonal blocks")
 
 
-def haar_unitary(n: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
+def haar_unitary(
+    n: int, rng: np.random.Generator, batch: tuple[int, ...] = (), columns: int | None = None
+) -> np.ndarray:
     """Haar-distributed unitary from a complex Gaussian matrix.
 
     QR factorization of a Ginibre matrix followed by normalizing the
     diagonal of R to positive reals, which removes the phase ambiguity
     and makes the factor exactly Haar.  A nonempty batch draws a stack
-    of independent unitaries of shape batch + (n, n).
+    of independent unitaries of shape batch + (n, n).  columns = k
+    returns only the first k columns of the same draw, from the QR of
+    the first k Ginibre columns: the random stream is the same.
     """
     shape = (*batch, n, n)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[..., :columns]
     g /= np.sqrt(2.0)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)

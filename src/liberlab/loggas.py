@@ -36,13 +36,15 @@ def pair_force(x: np.ndarray) -> np.ndarray:
     return np.sum(diff, axis=1)
 
 
-def site_energy(x: np.ndarray, i: int, y: float) -> float:
-    """sum_{j != i} log|y - x_j|, the pair energy of site i moved to y.
+def site_energy(x: np.ndarray, i: int, y: np.ndarray) -> np.ndarray:
+    """sum_{j != i} log|y - x_j| for each candidate position y of site i.
 
-    -inf, with numpy's divide warning, when y hits another point.
+    One row per candidate, so a Metropolis step scores its proposal and
+    the current position in one call; a scalar y gives a scalar.  -inf,
+    with numpy's divide warning, where y hits another point.
     """
-    gaps = np.subtract(y, x)
+    gaps = np.subtract.outer(y, x)
     np.abs(gaps, out=gaps)
-    gaps[i] = 1.0
+    gaps[..., i] = 1.0
     np.log(gaps, out=gaps)
-    return float(gaps.sum())
+    return gaps.sum(axis=-1)

@@ -151,6 +151,12 @@ class PsiSpec:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def __call__(self, x):
+        if isinstance(x, float):
+            # Horner in polyval's order gives its bits without the array overhead
+            acc = self.coeffs[-1] + x * 0.0
+            for c in self.coeffs[-2::-1]:
+                acc = c + acc * x
+            return acc
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
 
     def derivative(self, x):

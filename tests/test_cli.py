@@ -115,16 +115,50 @@ def test_nonpositive_grid_is_a_usage_error(tmp_path, capsys, law, grid):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_lsi_matrix_grid_above_the_quadrature_limit_is_a_usage_error(tmp_path, capsys):
+def test_lsi_matrix_grid_below_the_point_count_is_a_usage_error(tmp_path, capsys):
     model = ("lsi-matrix", "--N", "4", "--k", "2", "--l", "2", "--psi", "poly:0,0.1")
     out = tmp_path / "lsi_matrix.json"
-    code, _, err = run(capsys, *model, "--grid", "300", "--out", str(out))
+    code, _, err = run(capsys, *model, "--grid", "1", "--out", str(out))
     assert code == 1
     assert err.startswith("error:") and "--grid" in err
     assert list(tmp_path.iterdir()) == []
-    code, _, _ = run(capsys, *model, "--grid", "256", "--out", str(out))
+    code, _, _ = run(capsys, *model, "--grid", "300", "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["mode"] == "quadrature"
+
+
+def test_lsi_matrix_report_does_not_depend_on_the_seed(tmp_path, capsys):
+    out = tmp_path / "lsi_matrix.json"
+    reports = []
+    for seed in ("1", "2"):
+        code, _, _ = run(capsys, "lsi-matrix", "--N", "4", "--k", "2", "--l", "2",
+                         "--psi", "poly:0,0,0.5", "--seed", seed, "--out", str(out))
+        assert code == 0
+        reports.append(out.read_text().replace(f'"seed": {seed}', '"seed": 0'))
+    assert reports[0] == reports[1]
+
+
+def test_unresolved_lsi_matrix_exits_two_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "lsi_matrix.json"
+    code, _, err = run(capsys, "lsi-matrix", "--N", "1024", "--k", "512", "--l", "512",
+                       "--psi", "poly:0,2", "--out", str(out))
+    assert code == 2
+    assert err.startswith("numerical failure:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ("sample", "--N", "3", "--k", "2", "--l", "2"),
+    ("verify-ricci", "--N", "3", "--k", "1"),
+    ("verify-gradient", "--N", "3"),
+])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_nonpositive_trials_is_a_usage_error(tmp_path, capsys, command, trials):
+    out = tmp_path / "report"
+    code, _, err = run(capsys, *command, "--trials", trials, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "--trials" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unconverged_tilted_solve_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from liberlab.errors import ValidationError
 from liberlab.potentials import (
     PotentialSpec,
+    PsiSpec,
     cosine_potential,
     load_potential,
     parse_psi,
@@ -86,3 +87,11 @@ def test_parse_psi():
         parse_psi("spline:1,2")
     with pytest.raises(ValidationError):
         parse_psi("poly:a,b")
+
+
+def test_psi_on_a_float_has_the_bits_of_polyval(rng):
+    for coeffs in [(0.0, 1.0), (0.0, 0.0, 0.5), (1.5,), (0.3, -1.2, 0.7, 2.5, -0.04)]:
+        psi = PsiSpec(coeffs)
+        for x in rng.uniform(-0.5, 1.5, 200):
+            assert psi(float(x)) == np.polynomial.polynomial.polyval(np.asarray(x), coeffs)
+            assert psi(x) == psi(np.array([x]))[0]
