@@ -84,17 +84,22 @@ def _sanitize(value, where: str = "report"):
     return value
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+def _write(text: str, config: RunConfig) -> None:
+    """Print a report, or write it to --out atomically (temp file plus rename)."""
+    if not config.out:
+        sys.stdout.write(text)
+        return
+    directory = os.path.dirname(os.path.abspath(config.out))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp_path, path)
+        os.replace(tmp_path, config.out)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+    print(f"wrote {config.out}")
 
 
 def _emit_json(report: dict, config: RunConfig) -> None:
@@ -103,12 +108,7 @@ def _emit_json(report: dict, config: RunConfig) -> None:
     payload = dict(report)
     payload["config"] = asdict(config)
     payload["version"] = __version__
-    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
-    if config.out:
-        _atomic_write(config.out, text)
-        print(f"wrote {config.out}")
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n", config)
 
 
 def _emit_csv(header: list[str], rows, config: RunConfig) -> None:
@@ -118,12 +118,7 @@ def _emit_csv(header: list[str], rows, config: RunConfig) -> None:
     lines = [f"# liberlab {__version__} {meta}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        _atomic_write(config.out, text)
-        print(f"wrote {config.out}")
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", config)
 
 
 def _format_cell(cell) -> str:
@@ -231,8 +226,7 @@ def _cmd_lsi_matrix(config: RunConfig) -> None:
     if config.psi is None:
         raise ValidationError("lsi-matrix needs --psi (the comparison needs a tilt)")
     spec = EnsembleSpec(config.N, config.k, config.l, parse_psi(config.psi))
-    grid = {} if config.grid is None else {"grid": config.grid}
-    report = lsi_matrix_report(spec, seed=config.seed, **grid)
+    report = lsi_matrix_report(spec, config.grid, config.seed)
     _emit_json(asdict(report), config)
 
 
@@ -310,17 +304,13 @@ def _cmd_liberate(config: RunConfig) -> None:
     from .liberation import flow_diagnostics, flow_evolve, init_flow
 
     law = _load_law(config)
-    n = config.particles or 512
+    n = 512 if config.particles is None else config.particles
     t_max = config.tmax if config.tmax is not None else 20.0
     state = init_flow(law, n, _grid(config))
     state = flow_evolve(state, t_max)
     diag = flow_diagnostics(state)
-    rows = zip(
-        (float(v) for v in diag.t),
-        (float(v) for v in diag.chi),
-        (float(v) for v in diag.phi_star),
-        (float(v) for v in diag.half_integral),
-    )
+    columns = (diag.t, diag.chi, diag.phi_star, diag.half_integral)
+    rows = zip(*(map(float, col) for col in columns))
     _emit_csv(["t", "chi", "phi_star", "half_integral"], rows, config)
 
 
@@ -361,7 +351,7 @@ def _cmd_istar(config: RunConfig) -> None:
     from .liberation import istar
 
     law = _load_law(config)
-    n = config.particles or 512
+    n = 512 if config.particles is None else config.particles
     t_max = config.tmax if config.tmax is not None else 20.0
     report = istar(law, n, t_max, _grid(config))
     _emit_json(
@@ -417,27 +407,11 @@ def main(argv: list[str] | None = None) -> int:
     _cap_threads()
     try:
         args = _build_parser().parse_args(argv)
-        if args.grid is not None and args.grid < 1:
-            raise ValidationError(f"--grid must be a positive integer, got {args.grid}")
-        if args.trials is not None and args.trials < 1:
-            raise ValidationError(f"--trials must be a positive integer, got {args.trials}")
-        config = RunConfig(
-            command=args.command,
-            law=args.law,
-            h=args.h,
-            psi=args.psi,
-            grid=args.grid,
-            N=args.N,
-            k=args.k,
-            l=args.l,
-            trials=args.trials,
-            seed=args.seed,
-            out=args.out,
-            c1=args.c1,
-            c2=args.c2,
-            particles=args.particles,
-            tmax=args.tmax,
-        )
+        for name in ("grid", "trials", "particles"):
+            value = getattr(args, name)
+            if value is not None and value < 1:
+                raise ValidationError(f"--{name} must be a positive integer, got {value}")
+        config = RunConfig(**vars(args))
         _COMMANDS[config.command](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

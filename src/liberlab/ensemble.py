@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, xlogy
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.special import betaln, gammaln, xlogy
 
 from .errors import NumericalError, ValidationError
 from .grassmann import haar_unitary
@@ -177,6 +178,38 @@ def selberg_log_z0(spec: EnsembleSpec) -> float:
     )
 
 
+def _gauss_jacobi(a: int, b: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for x^a (1-x)^b on [0,1]: the nodes and the log-weights.
+
+    Nodes are the Jacobi-matrix eigenvalues; a weight is B(a+1, b+1) over
+    the Christoffel sum of the orthonormal polynomials, rescaled per node
+    and kept in logs, so that nothing overflows at large a + b.
+    """
+    k = np.arange(1.0, nodes)
+    s = 2.0 * k + a + b
+    diag = 0.5 + 0.5 * np.append((a - b) / (a + b + 2.0), (a * a - b * b) / (s * (s + 2.0)))
+    off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    x = eigvalsh_tridiagonal(diag, off)
+    prev, cur, total, log_scale = np.zeros(nodes), np.ones(nodes), np.ones(nodes), 0.0
+    for j in range(nodes - 1):
+        prev, cur = cur, ((x - diag[j]) * cur - off[j - 1] * prev) / off[j]
+        total += cur * cur
+        if j % 8 == 7:
+            scale = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), 1.0)
+            prev, cur, total = prev / scale, cur / scale, total / scale**2
+            log_scale = log_scale + 2.0 * np.log(scale)
+    return x, betaln(a + 1, b + 1) - np.log(total) - log_scale
+
+
+def _node_count(spec: EnsembleSpec, grid: int | None) -> int:
+    """The node count M: grid, by default max(96, 2n), and at least n."""
+    _, _, n = spec.counts
+    nodes = max(96, 2 * n) if grid is None else grid
+    if nodes < n:
+        raise ValidationError(f"the recurrence needs at least n = {n} nodes (--grid), got {nodes}")
+    return nodes
+
+
 def _christoffel(spec: EnsembleSpec, nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact beta = 2 side of the model from its orthogonal polynomials.
 
@@ -190,18 +223,17 @@ def _christoffel(spec: EnsembleSpec, nodes: int) -> tuple[np.ndarray, np.ndarray
     log Z_psi = log n! + sum_k log h_k (Heine).  Log-weights are shifted
     by their maximum before exponentiation; sqrt(w) spans half the
     log-range of w, so nodes drop out by underflow only once
-    N (max psi - min psi) exceeds about 1.5e3.
+    N (max psi - min psi) exceeds about 1.5e3.  A weight that is not
+    finite, or a recurrence that stops short of n, raises NumericalError.
     """
     a, b = spec.exponents
     _, _, n = spec.counts
-    if nodes < n:
-        raise ValidationError(f"the recurrence needs at least n = {n} nodes (--grid), got {nodes}")
-    t, lam = roots_jacobi(nodes, b, a)
-    x = 0.5 * (1.0 + t)
-    log_w = np.log(lam) - (a + b + 1) * math.log(2.0)
+    x, log_w = _gauss_jacobi(a, b, nodes)
     if spec.psi is not None:
         log_w -= spec.N * np.asarray(spec.psi(x), dtype=float)
     shift = float(np.max(log_w))
+    if not math.isfinite(shift):
+        raise NumericalError("the tilted weight is not finite on the quadrature nodes")
     v = np.empty((n, nodes))
     v[0] = np.exp(0.5 * (log_w - shift))
     h0 = float(v[0] @ v[0])
@@ -212,19 +244,22 @@ def _christoffel(spec: EnsembleSpec, nodes: int) -> tuple[np.ndarray, np.ndarray
         for _ in range(2):
             r -= (v[:k] @ r) @ v[:k]
         beta = float(np.linalg.norm(r))
+        if not beta > 0.0:
+            raise NumericalError(f"the recurrence broke down at degree {k} of {n}")
         v[k] = r / beta
         log_z += 2.0 * (n - k) * math.log(beta)
     return x, np.einsum("km,km->m", v, v), log_z
 
 
-def log_z_quadrature(spec: EnsembleSpec, nodes: int = 96) -> float:
+def log_z_quadrature(spec: EnsembleSpec, nodes: int | None = None) -> float:
     """log Z_psi of the free-eigenvalue density from the recurrence.
 
-    Exact up to the Gauss-Jacobi rule on `nodes` points (at least the
-    number n of free points) applied to exp(-N psi): for psi = None it
-    reproduces the Selberg constant to rounding.
+    Exact up to the Gauss-Jacobi rule on `nodes` points (default
+    max(96, 2n), and at least the number n of free points) applied to
+    exp(-N psi): for psi = None it reproduces the Selberg constant to
+    rounding.
     """
-    return _christoffel(spec, nodes)[2]
+    return _christoffel(spec, _node_count(spec, nodes))[2]
 
 
 def mcmc_tilted_spectrum(
@@ -382,8 +417,7 @@ def lsi_matrix_report(
     """
     if spec.psi is None:
         raise ValidationError("the comparison needs a tilt; the untilted gap is zero")
-    _, _, n = spec.counts
-    nodes = max(96, 2 * n) if grid is None else grid
+    nodes = _node_count(spec, grid)
     log_z0 = selberg_log_z0(spec)
     coarse_entropy, coarse_dirichlet, _, _ = _exact_sides(spec, nodes, log_z0)
     entropy, dirichlet, log_z_psi, mean_psi = _exact_sides(spec, 2 * nodes, log_z0)

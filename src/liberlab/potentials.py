@@ -151,17 +151,16 @@ class PsiSpec:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def __call__(self, x):
-        if isinstance(x, float):
-            # Horner in polyval's order gives its bits without the array overhead
-            acc = self.coeffs[-1] + x * 0.0
-            for c in self.coeffs[-2::-1]:
-                acc = c + acc * x
-            return acc
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
+        # polyval's Horner loop, run on a plain float without an array round trip
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
+        acc = self.coeffs[-1] + x * 0.0
+        for c in self.coeffs[-2::-1]:
+            acc = c + acc * x
+        return acc
 
     def derivative(self, x):
-        der = np.polynomial.polynomial.polyder(self.coeffs) if len(self.coeffs) > 1 else [0.0]
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), der)
+        return PsiSpec(np.polynomial.polynomial.polyder(self.coeffs))(x)
 
 
 def parse_psi(text: str) -> PsiSpec:

@@ -161,6 +161,15 @@ def test_nonpositive_trials_is_a_usage_error(tmp_path, capsys, command, trials):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["liberate", "istar"])
+def test_zero_particles_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "report"
+    code, _, err = run(capsys, command, "--law", UNIFORM, "--particles", "0", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "--particles" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unconverged_tilted_solve_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
     import dataclasses
 

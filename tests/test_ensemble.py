@@ -80,6 +80,26 @@ def test_quadrature_refuses_fewer_nodes_than_points():
         log_z_quadrature(spec, nodes=3)
 
 
+def test_quadrature_holds_at_large_edge_exponents():
+    # a + b > 1020 overflows the Gauss-Jacobi mass 2^(a+b+1) B(a+1, b+1) on [-1, 1]
+    for n_dim in (1100, 1500):
+        spec = EnsembleSpec(n_dim, 1, 1)
+        assert log_z_quadrature(spec) == pytest.approx(selberg_log_z0(spec), abs=1e-12)
+    rep = lsi_matrix_report(EnsembleSpec(1100, 1, 1, PsiSpec((0.0, 1.0))))
+    assert math.isfinite(rep.margin) and rep.margin_se <= 1e-12
+
+
+def test_quadrature_default_covers_more_than_96_points():
+    spec = EnsembleSpec(400, 200, 200)
+    assert log_z_quadrature(spec) == pytest.approx(selberg_log_z0(spec), rel=1e-14)
+
+
+@pytest.mark.parametrize("coeffs", [(math.nan,), (math.inf,), (0.0, -math.inf)])
+def test_quadrature_refuses_a_weight_that_is_not_finite(coeffs):
+    with pytest.raises(NumericalError):
+        log_z_quadrature(EnsembleSpec(4, 2, 2, PsiSpec(coeffs)))
+
+
 def test_direct_draws_match_exact_marginals():
     xs = sample_spectra(EnsembleSpec(2, 1, 1), 4000, seed=1).ravel()
     stat = kstest(xs, "uniform")

@@ -95,3 +95,5 @@ def test_psi_on_a_float_has_the_bits_of_polyval(rng):
         for x in rng.uniform(-0.5, 1.5, 200):
             assert psi(float(x)) == np.polynomial.polynomial.polyval(np.asarray(x), coeffs)
             assert psi(x) == psi(np.array([x]))[0]
+            der = np.polynomial.polynomial.polyder(coeffs) if len(coeffs) > 1 else [0.0]
+            assert psi.derivative(x) == np.polynomial.polynomial.polyval(np.asarray(x), der)
