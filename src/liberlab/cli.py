@@ -340,7 +340,7 @@ def _cmd_equilibrium(config: RunConfig) -> None:
             "iterations": result.iterations,
             "rho": result.rho,
             "mass": result.density.mass,
-            "support": list(result.density.support),
+            "support": result.support,
             "density_quantiles": quantiles,
         },
         config,

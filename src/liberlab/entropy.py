@@ -178,7 +178,9 @@ class EquilibriumResult:
     generic-position law built around it; objective the achieved value
     of (1/4)Sigma + (1/2)int(tilt)dnu on the solver grid; B_h and
     C_h = C + B_h the derived constants; flatness the final sup
-    deviation of the first-order condition on the numerical support.
+    deviation of the first-order condition on the numerical support;
+    support the smallest and largest node with positive mass (None when
+    rho = 0 and there is no density).
     """
 
     density: DensitySpec
@@ -194,6 +196,7 @@ class EquilibriumResult:
     coeff1: float
     alpha: float
     beta: float
+    support: tuple[float, float] | None
 
 
 def _tilt_values(
@@ -248,8 +251,8 @@ def _energy_kernel(m: int) -> np.ndarray:
     return fft(a).real
 
 
-def _minus_energy_matrix(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """-A on the nodes idx, for the truncated energy masses @ A @ masses.
+def _minus_energy_matrix(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """-A on the nodes rows x cols, for the truncated energy masses @ A @ masses.
 
     With theta_i - theta_j = (i-j) pi/m and theta_i + theta_j =
     (i+j+1) pi/m, the energy's cosine series gives the closed form
@@ -257,16 +260,52 @@ def _minus_energy_matrix(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
     matrix is filled a few rows at a time into one buffer, so the only
     large allocation is the result itself.
     """
-    n = idx.size
-    out = np.empty((n, n))
-    rows = max(1, 2**16 // n)
-    for lo in range(0, n, rows):
-        i = idx[lo : lo + rows, None]
-        block = out[lo : lo + rows]
-        np.take(s, np.abs(i - idx), out=block, mode="clip")
-        block += s[i + idx + 1]
+    out = np.empty((rows.size, cols.size))
+    step = max(1, 2**16 // max(cols.size, 1))
+    for lo in range(0, rows.size, step):
+        i = rows[lo : lo + step, None]
+        block = out[lo : lo + step]
+        np.take(s, np.abs(i - cols), out=block, mode="clip")
+        block += s[i + cols + 1]
         block += 2.0 * _LOG2
     return out
+
+
+def _bordered_solve(
+    s: np.ndarray,
+    base: np.ndarray,
+    factor: tuple[np.ndarray, bool],
+    base_solution: np.ndarray,
+    rhs: np.ndarray,
+    active: np.ndarray,
+) -> np.ndarray:
+    """Solve -A x = rhs on the active nodes from the Cholesky factor of -A on base.
+
+    base_solution is the factor's solve of rhs[base].  The active set is
+    base without the dropped nodes D plus the joined nodes J.  Each
+    joined node is an extra unknown with its -A column, and each dropped
+    node an equality constraint x_d = 0 with a multiplier, so the
+    bordered system costs |D|+|J| solves against the factor and one
+    dense solve of its (|D|+|J|)-square Schur complement.
+    """
+    joined = np.setdiff1d(np.flatnonzero(active), base, assume_unique=True)
+    dropped = np.flatnonzero(~active[base])
+    # border = [-A[base, J] | unit columns of D]; the Schur complement
+    # is [-A[J, J], 0; 0, 0] - border^T (-A[base, base])^{-1} border
+    cross = _minus_energy_matrix(s, np.concatenate([base, joined]), joined)
+    border = np.zeros((base.size, joined.size + dropped.size))
+    border[:, : joined.size] = cross[: base.size]
+    border[dropped, joined.size + np.arange(dropped.size)] = 1.0
+    z = cho_solve(factor, border, check_finite=False)
+    schur = -border.T @ z
+    schur[: joined.size, : joined.size] += cross[base.size :]
+    small = -border.T @ base_solution
+    small[: joined.size] += rhs[joined]
+    y = np.linalg.solve(schur, small)
+    full = np.zeros((active.size, rhs.shape[1]))
+    full[base] = base_solution - z @ y
+    full[joined] = y[: joined.size]
+    return full[active]
 
 
 def _active_set(
@@ -303,15 +342,19 @@ def _active_set(
     dev, flat = deviation(masses)
     if flat <= _EXACT and not np.any(~active & (dev > _TOL)):
         return masses, _objective(masses, w), flat, True, rounds
+    # one factor per level, on the starting support; every round's support
+    # differs from it by a few nodes and is solved by bordering
     s = _energy_kernel(m)
+    base = np.flatnonzero(active)
+    factor = cho_factor(
+        _minus_energy_matrix(s, base, base).T, overwrite_a=True, check_finite=False
+    )
+    rhs = np.column_stack([w, np.ones(m)])
+    base_solution = cho_solve(factor, rhs[base], check_finite=False)
     for _ in range(_MAX_ROUNDS):
         rounds += 1
         idx = np.flatnonzero(active)
-        factor = cho_factor(
-            _minus_energy_matrix(s, idx).T, overwrite_a=True, check_finite=False
-        )
-        rhs = np.column_stack([w[idx], np.ones(idx.size)])
-        u, v = cho_solve(factor, rhs, check_finite=False).T
+        u, v = _bordered_solve(s, base, factor, base_solution, rhs, active).T
         # -A m = w - level on the support and sum(m) = mass fix the level
         m_sub = u - v * ((np.sum(u) - mass) / np.sum(v))
         negative = m_sub < -1e-15 * mass
@@ -345,16 +388,21 @@ def equilibrium_solve(
     functional is a strictly concave quadratic, so its maximizer over
     the simplex scaled to total mass 2 rho is unique.  An active-set
     loop finds it exactly: each round solves the first-order system
-    (equal gradient on the support, total mass fixed) by one Cholesky
-    factorization of the closed-form energy matrix, drops the nodes the
-    solve sends negative, and otherwise adds the outside nodes whose
-    gradient exceeds the support level by more than 1e-6.  It stops when
-    the first-order condition, evaluated through the Chebyshev
-    transforms, is flat to 1e-6 on the support and no outside node
-    qualifies.  Each level starts from the same solve at grid // 4,
-    carried to the nearest nodes, and the coarsest (64 nodes or fewer)
-    from uniform masses; a start already flat to 1e-12 with no
-    qualifying outside node is returned without a factorization.
+    (equal gradient on the support, total mass fixed) exactly, drops the
+    nodes the solve sends negative, and otherwise adds the outside nodes
+    whose gradient exceeds the support level by more than 1e-6.  The
+    closed-form energy matrix is built and Cholesky-factored once per
+    level, on the level's starting support; a round whose support
+    differs from it by the dropped nodes D and the joined nodes J is a
+    bordered solve against that factor (J as extra unknowns, D as
+    constraints m_D = 0), which costs |D|+|J| triangular solves and a
+    dense (|D|+|J|)-square Schur solve.  It stops when the first-order
+    condition, evaluated through the Chebyshev transforms, is flat to
+    1e-6 on the support and no outside node qualifies.  Each level
+    starts from the same solve at grid // 4, carried to the nearest
+    nodes, and the coarsest (64 nodes or fewer) from uniform masses; a
+    start already flat to 1e-12 with no qualifying outside node is
+    returned without a factorization.
     iterations counts the rounds over all levels; it is 0 when every
     start is exact, as for the untilted free pair at (1/2, 1/2).
 
@@ -376,7 +424,7 @@ def equilibrium_solve(
         b_h = chi_proj(law, m).chi - tau_of_potential(law, h, m)
         return EquilibriumResult(
             law.density, law, 0.0, b_h, c_const + b_h, 0.0, True, 0,
-            rho, coeff0, coeff1, alpha, beta,
+            rho, coeff0, coeff1, alpha, beta, None,
         )
 
     masses, obj, flat, converged, iterations = _active_set(
@@ -388,9 +436,12 @@ def equilibrium_solve(
     density = DensitySpec("cheb", float(np.sum(masses)), (0.0, 1.0), (left, right), values=g)
     law = ProjectionPairLaw(alpha, beta, density=density, **atoms)
     b_h = chi_proj(law, m).chi - tau_of_potential(law, h, m)
+    # nodes run in decreasing x
+    nodes = _nodes_on_unit(m)[1][masses > 0.0]
     return EquilibriumResult(
         density, law, float(obj), float(b_h), float(c_const + b_h),
         flat, converged, iterations, rho, coeff0, coeff1, alpha, beta,
+        (float(nodes[-1]), float(nodes[0])),
     )
 
 

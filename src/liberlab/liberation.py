@@ -41,6 +41,11 @@ __all__ = [
     "istar",
 ]
 
+# The Fisher estimate of an equilibrated cloud flattens at a rounding
+# floor near n * 1e-16 of its peak (3.3e-14 at n = 256); the tail fit
+# stays above this fraction of the peak.
+_FISHER_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -341,18 +346,22 @@ def istar(
 def _tail_integral(t: np.ndarray, phi: np.ndarray) -> tuple[float, float, bool]:
     """Integrate the fitted exponential tail of the Fisher estimate.
 
-    Fits log phi linearly in t over the final decade of decay; a
-    non-decaying fit or a terminal value still above 1% of the peak
-    marks the result as a lower bound.
+    Fits log phi linearly in t over the final decade of decay above
+    _FISHER_FLOOR times the peak, so that a run which reached its
+    rounding floor is not fitted on the flat floor; a non-decaying fit
+    or a terminal value still above 1% of the peak marks the result as a
+    lower bound.
     """
     terminal = phi[-1]
     peak = float(np.max(phi))
     if terminal <= 0.0 or peak <= 0.0:
         return 0.0, math.inf, True
-    cutoff = terminal * 10.0
-    idx = np.nonzero(phi <= cutoff)[0]
+    floor = _FISHER_FLOOR * peak
+    idx = np.nonzero(phi <= 10.0 * max(terminal, floor))[0]
     start = idx[0] if idx.size else max(0, phi.size - 2)
-    ts, ps = t[start:], phi[start:]
+    below = np.nonzero(phi[start:] < floor)[0]
+    stop = start + below[0] if below.size else phi.size
+    ts, ps = t[start:stop], phi[start:stop]
     good = ps > 0.0
     if np.count_nonzero(good) < 2:
         return 0.0, math.inf, True

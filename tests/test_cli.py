@@ -275,6 +275,15 @@ def test_equilibrium_command_reports_a_density(capsys):
     assert np.all(np.diff(quantiles) > 0.0)
 
 
+def test_equilibrium_command_reports_the_mass_support(capsys):
+    law = str(FIXTURES / "free_asym.json")
+    code, out, _ = run(capsys, "equilibrium", "--law", law, "--grid", "1024")
+    assert code == 0
+    lo, hi = json.loads(out)["support"]
+    assert lo == pytest.approx(0.0916, abs=1e-4)
+    assert hi == pytest.approx(0.9890, abs=1e-4)
+
+
 def test_istar_command(capsys):
     code, out, _ = run(
         capsys, "istar", "--law", UNIFORM, "--particles", "48",

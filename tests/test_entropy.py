@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liberlab import entropy
 from liberlab.chebyshev import cosine_series_at_angles, moments_from_masses
 from liberlab.densities import density_values, free_pair_density, uniform_density
 from liberlab.entropy import (
     _energy_kernel,
     _minus_energy_matrix,
+    _nodes_on_unit,
+    _tilt_values,
     b_function,
     chi_proj,
     constant_C,
@@ -150,7 +153,8 @@ def test_energy_matrix_matches_the_transform_potential(m):
         c[1:] / np.arange(1, m), m
     )
     s = _energy_kernel(m)
-    full = -_minus_energy_matrix(s, np.arange(m)) @ masses
+    every = np.arange(m)
+    full = -_minus_energy_matrix(s, every, every) @ masses
     assert np.max(np.abs(full - potential)) <= 1e-12 * np.max(np.abs(potential))
     # on a node subset, with the masses outside it set to zero
     idx = np.flatnonzero(rng.random(m) < 0.6) if m > 1 else np.arange(1)
@@ -160,8 +164,11 @@ def test_energy_matrix_matches_the_transform_potential(m):
     potential = sub.sum() * (-2.0 * np.log(2.0)) - 2.0 * cosine_series_at_angles(
         c[1:] / np.arange(1, m), m
     )
-    got = -_minus_energy_matrix(s, idx) @ masses[idx]
+    got = -_minus_energy_matrix(s, idx, idx) @ masses[idx]
     assert np.max(np.abs(got - potential[idx])) <= 1e-12 * np.max(np.abs(potential))
+    # a rectangular block: the potential of the subset's masses on every node
+    got = -_minus_energy_matrix(s, every, idx) @ masses[idx]
+    assert np.max(np.abs(got - potential)) <= 1e-12 * np.max(np.abs(potential))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 63, 65, 100, 257])
@@ -173,6 +180,63 @@ def test_equilibrium_converges_at_any_grid(m):
         assert res.converged, (a, b, m)
         assert res.density.mass == pytest.approx(2.0 * res.rho, abs=1e-12)
         assert res.flatness <= 1e-6
+
+
+BORDERED_CASES = [
+    (0.3, 0.6, None),
+    (0.42, 0.77, poly_potential((0.0, 0.3))),
+    (0.4, 0.6, poly_potential((0.0, -0.4, 0.8))),
+]
+
+
+def _levels(m):
+    """How many grids the active-set recursion visits for a solve at m nodes."""
+    return 1 if m <= 64 else 1 + _levels(m // 4)
+
+
+@pytest.mark.parametrize("m", [64, 256, 1024])
+@pytest.mark.parametrize("a, b, h", BORDERED_CASES)
+def test_one_factorization_per_level(monkeypatch, m, a, b, h):
+    """Every round after a level's first is a bordered solve on its factor."""
+    factor = entropy.cho_factor
+    sizes = []
+
+    def counting(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "cho_factor", counting)
+    res = equilibrium_solve(a, b, h, m)
+    assert res.converged
+    assert res.iterations > _levels(m)
+    assert len(sizes) <= _levels(m), sizes
+
+
+@pytest.mark.parametrize("m", [64, 256, 1024])
+@pytest.mark.parametrize("a, b, h", BORDERED_CASES)
+def test_bordered_masses_match_a_fresh_dense_solve(m, a, b, h):
+    """The returned masses solve the first-order system on their support."""
+    res = equilibrium_solve(a, b, h, m)
+    mass = 2.0 * res.rho
+    masses = res.density.values[::-1] * (np.pi / m)
+    idx = np.flatnonzero(masses > 0.0)
+    w = _tilt_values(res.coeff0, res.coeff1, h or zero_potential(), _nodes_on_unit(m)[1])
+    matrix = _minus_energy_matrix(_energy_kernel(m), idx, idx)
+    u, v = np.linalg.solve(matrix, np.column_stack([w[idx], np.ones(idx.size)])).T
+    want = u - v * ((np.sum(u) - mass) / np.sum(v))
+    assert np.max(np.abs(masses[idx] - want)) <= 1e-12 * mass
+
+
+@pytest.mark.parametrize("m", [256, 1024, 2048])
+def test_support_is_the_free_pair_support(m):
+    """Untilted, the outermost nodes with mass bracket the free-pair edges."""
+    res = equilibrium_solve(0.3, 0.6, None, m)
+    nodes = np.sort(_nodes_on_unit(m)[1])
+    for got, want in zip(res.support, free_pair_density(0.3, 0.6).support):
+        i = np.searchsorted(nodes, got)
+        assert nodes[i] == got
+        assert nodes[i - 1] <= want <= nodes[i + 1], (got, want)
+    assert equilibrium_solve(0.0, 0.4, None, m).support is None
 
 
 def test_equilibrium_objective_concavity():

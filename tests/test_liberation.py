@@ -149,6 +149,18 @@ def test_istar_recovers_the_uniform_deficit():
     assert rep.rel_gap <= 0.25
 
 
+def test_istar_decay_rate_is_fitted_above_the_rounding_floor():
+    """The uniform law's Fisher estimate decays like exp(-4t).
+
+    At n = 64 it sits on its rounding floor from t ~ 9 on; the rate is
+    read from the decay before it, not from the floor.
+    """
+    rep = istar(UNIFORM, n=64, t_max=10.0)
+    phi = np.array([r.phi_hat for r in rep.state.history])
+    assert phi[-1] <= 1e-13 * np.max(phi)
+    assert 3.8 <= rep.decay_rate <= 4.2
+
+
 def test_istar_of_a_free_law_is_negligible():
     rep = istar(free_pair_law(0.5, 0.5), n=128, t_max=6.0)
     assert abs(rep.minus_chi) <= 1e-10
