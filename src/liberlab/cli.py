@@ -363,7 +363,12 @@ def _cmd_istar(config: RunConfig) -> None:
             "relative_gap": report.rel_gap,
             "decay_rate": report.decay_rate,
             "lower_bound_only": report.lower_bound_only,
-            "steps": len(report.state.history),
+            "floored": report.floored,
+            "steps": report.steps,
+            "rejected_steps": report.rejected_steps,
+            "dt_min": report.dt_min,
+            "dt_max": report.dt_max,
+            "min_gap": report.min_gap,
         },
         config,
     )

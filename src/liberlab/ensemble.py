@@ -125,13 +125,15 @@ def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
     """Nontrivial PQP eigenvalues for many independent pairs at once.
 
     Returns an array of shape (trials, n), each row sorted increasing.
-    With P = V V* and Q = W W* for Haar frames V (N x k) and W (N x l),
-    the nonzero spectrum of PQP is the squared singular values of the
-    k x l block V* W, so the N - min(k, l) zero eigenvalues are never
-    formed and need no check.  Draws run on stacked arrays in batches,
-    which is what makes 1e5 draws at small N affordable.  The k + l - N
-    structural eigenvalues must sit at 1 within tolerance or the draw
-    is rejected as a solver failure.
+    The spectrum of PQP does not change when P and Q are conjugated by
+    one unitary, so P is the model projection onto the first k
+    coordinates and only Q = W W* is drawn, from a Haar frame W (N x l).
+    The nonzero spectrum of PQP is then the squared singular values of
+    the top k x l block of W, so the N - min(k, l) zero eigenvalues are
+    never formed and need no check.  Draws run on stacked arrays in
+    batches, which is what makes 1e5 draws at small N affordable.  The
+    k + l - N structural eigenvalues must sit at 1 within tolerance or
+    the draw is rejected as a solver failure.
     """
     if spec.psi is not None:
         raise ValidationError("direct sampling is only defined for the untilted model")
@@ -142,9 +144,8 @@ def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
     remaining = trials
     while remaining > 0:
         t = min(_BATCH, remaining)
-        v = haar_unitary(spec.N, rng, (t,), spec.k)
         w = haar_unitary(spec.N, rng, (t,), spec.l)
-        vals = np.linalg.svd(np.conjugate(np.swapaxes(v, -1, -2)) @ w, compute_uv=False) ** 2
+        vals = np.linalg.svd(w[:, : spec.k, :], compute_uv=False) ** 2
         if n1 and float(np.max(np.abs(vals[:, :n1] - 1.0))) > tol:
             raise NumericalError("structural unit eigenvalues stray beyond tolerance")
         rows.append(np.clip(vals[:, n1:][:, ::-1], 0.0, 1.0))
@@ -153,7 +154,7 @@ def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
 
 
 def sample_uniform_pair_spectrum(spec: EnsembleSpec, seed) -> SpectrumSample:
-    """One draw of the untilted model via two Haar projections."""
+    """One draw of the untilted model via a Haar projection pair."""
     n0, n1, _ = spec.counts
     return SpectrumSample(sample_spectra(spec, 1, seed)[0], n0, n1)
 

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _EIGENVALUE_SLACK = 1e-8
+# matrix entries per block of stacked probes: bounds each complex
+# temporary of the derivative checks at 4 MB
+_PROBE_ENTRIES = 1 << 18
 
 
 def hs_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -63,6 +66,20 @@ def model_projection(n: int, k: int) -> np.ndarray:
     return p
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def _check_projections(p: np.ndarray, k: int) -> None:
+    """Hermitian, idempotent and trace-k, for one matrix or a stack of them."""
+    if np.any(np.linalg.norm(p - _adjoint(p), axis=(-2, -1)) > 1e-12):
+        raise ValidationError("projection matrix must be Hermitian")
+    if np.any(np.linalg.norm(p @ p - p, axis=(-2, -1)) > 1e-10):
+        raise ValidationError("matrix is not idempotent")
+    if np.any(np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - k) > 1e-8):
+        raise ValidationError("trace does not match the declared rank")
+
+
 @dataclass(frozen=True)
 class GrassmannPoint:
     """Rank-k orthogonal projection with an adapted unitary frame.
@@ -84,12 +101,7 @@ class GrassmannPoint:
             raise ValidationError("projection matrix must be square")
         if not 0 <= self.k <= n:
             raise ValidationError("rank must lie between 0 and the dimension")
-        if np.linalg.norm(p - p.conj().T) > 1e-12:
-            raise ValidationError("projection matrix must be Hermitian")
-        if np.linalg.norm(p @ p - p) > 1e-10:
-            raise ValidationError("matrix is not idempotent")
-        if abs(np.real(np.trace(p)) - self.k) > 1e-8:
-            raise ValidationError("trace does not match the declared rank")
+        _check_projections(p, self.k)
 
     @property
     def dim(self) -> int:
@@ -212,10 +224,11 @@ def ricci_quadratic_form(n: int, k: int, x: TangentVector | np.ndarray) -> float
 
 
 def _tangent_exponential(x: np.ndarray) -> np.ndarray:
-    """Unitary exponential of an anti-Hermitian matrix via eigh of iX."""
+    """Unitary exponential of an anti-Hermitian matrix, or of a stack of
+    them, via eigh of iX."""
     herm = 1j * x
     vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * vals)[..., None, :]) @ _adjoint(vecs)
 
 
 def _frame_of(point: GrassmannPoint) -> np.ndarray:
@@ -252,15 +265,62 @@ def apply_spectral(psi, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     spectral product of projections and the call fails.
     """
     vals, vecs = np.linalg.eigh(m)
-    if vals.min() < -_EIGENVALUE_SLACK or vals.max() > 1.0 + _EIGENVALUE_SLACK:
-        raise NumericalError("spectrum strays outside [0,1] beyond tolerance")
+    _check_spectrum(vals)
     clamped = np.clip(vals, 0.0, 1.0)
     return clamped, vecs, np.asarray(psi(clamped), dtype=float)
 
 
-def _trace_psi(psi, p: np.ndarray, q: np.ndarray) -> float:
-    vals, _, applied = apply_spectral(psi, p @ q @ p)
-    return float(np.sum(applied))
+def _check_spectrum(vals: np.ndarray) -> None:
+    if vals.min() < -_EIGENVALUE_SLACK or vals.max() > 1.0 + _EIGENVALUE_SLACK:
+        raise NumericalError("spectrum strays outside [0,1] beyond tolerance")
+
+
+def _tangent_dim(n: int, k: int) -> int:
+    """2k(N-k): the size of tangent_basis(n, k), 0 for a trivial rank."""
+    return 2 * k * (n - k)
+
+
+def _moved_projections(point: GrassmannPoint, coeffs: np.ndarray) -> np.ndarray:
+    """exp_normal_coordinate(point, sum_d c_d b_d).P for each row c of coeffs.
+
+    The generators X come from one contraction with the stacked tangent
+    basis b, their exponentials from one batched eigh; every result
+    passes the GrassmannPoint checks.
+    """
+    n, k = point.dim, point.k
+    basis = np.stack([b.X for b in tangent_basis(n, k)])
+    x = np.einsum("md,dij->mij", coeffs, basis, optimize=True)
+    cols = _frame_of(point) @ _tangent_exponential(x)[..., :k]
+    p = cols @ _adjoint(cols)
+    p = 0.5 * (p + _adjoint(p))
+    _check_projections(p, k)
+    return p
+
+
+def _stacked_trace_psi(
+    p: GrassmannPoint, q: GrassmannPoint, psi, coeffs: np.ndarray
+) -> np.ndarray:
+    """Tr psi(P'Q'P') for each row of coeffs, in blocks of probes.
+
+    A row holds normal coordinates along tangent_basis of P, then of Q;
+    the pair moves to P' = exp_normal_coordinate(p, .) and likewise Q'.
+    A factor that no row moves keeps its matrix.  The spectra come from
+    one batched eigvalsh per block and pass the apply_spectral check.
+    """
+    n = p.dim
+    split = _tangent_dim(n, p.k)
+    cp, cq = coeffs[:, :split], coeffs[:, split:]
+    move_p, move_q = cp.any(), cq.any()
+    out = np.empty(coeffs.shape[0])
+    rows = max(1, _PROBE_ENTRIES // (n * n))
+    for start in range(0, out.size, rows):
+        block = slice(start, start + rows)
+        pm = _moved_projections(p, cp[block]) if move_p else p.P
+        qm = _moved_projections(q, cq[block]) if move_q else q.P
+        vals = np.linalg.eigvalsh(pm @ qm @ pm)
+        _check_spectrum(vals)
+        out[block] = np.sum(psi(np.clip(vals, 0.0, 1.0)), axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -277,28 +337,6 @@ class GradReport:
     rel_gap: float
 
 
-def _directional_derivatives(
-    point: GrassmannPoint, other: np.ndarray, psi, step: float, point_first: bool
-) -> list[float]:
-    """Central-difference derivatives of Tr psi(PQP) along the tangent basis."""
-    n = point.dim
-    out = []
-    for b in tangent_basis(n, point.k):
-        scaled = TangentVector(step * b.X, point.k)
-        plus = exp_normal_coordinate(point, scaled).P
-        minus = exp_normal_coordinate(
-            point, TangentVector(-step * b.X, point.k)
-        ).P
-        if point_first:
-            fp = _trace_psi(psi, plus, other)
-            fm = _trace_psi(psi, minus, other)
-        else:
-            fp = _trace_psi(psi, other, plus)
-            fm = _trace_psi(psi, other, minus)
-        out.append((fp - fm) / (2.0 * step))
-    return out
-
-
 def grad_norm_trace_fn(
     p: GrassmannPoint, q: GrassmannPoint, psi, step: float = 1e-4
 ) -> GradReport:
@@ -308,44 +346,26 @@ def grad_norm_trace_fn(
     4 sum psi'(x_i)^2 x_i (1 - x_i) over the eigenvalues of PQP; the
     Dirichlet route drives both factors through normal-coordinate moves
     with central differences and sums the squared directional
-    derivatives.  psi must expose a derivative method (polynomial test
-    functions do).
+    derivatives.  The +-step probes along the tangent basis of one
+    factor run as one stacked batch, with the other factor held fixed.
+    psi must expose a derivative method (polynomial test functions do).
     """
     if p.dim != q.dim:
         raise ValidationError("the two projections live in different dimensions")
     vals, _, _ = apply_spectral(psi, p.P @ q.P @ p.P)
     dpsi = psi.derivative(vals)
     closed = 4.0 * float(np.sum(np.asarray(dpsi) ** 2 * vals * (1.0 - vals)))
-    derivs: list[float] = []
-    if 1 <= p.k <= p.dim - 1:
-        derivs += _directional_derivatives(p, q.P, psi, step, point_first=True)
-    if 1 <= q.k <= q.dim - 1:
-        derivs += _directional_derivatives(q, p.P, psi, step, point_first=False)
-    dirichlet = float(np.sum(np.asarray(derivs) ** 2))
+    dims = (_tangent_dim(p.dim, p.k), _tangent_dim(q.dim, q.k))
+    derivs = []
+    for offset, width in ((0, dims[0]), (dims[0], dims[1])):
+        # +step then -step along each basis vector of one factor
+        coeffs = np.zeros((2 * width, sum(dims)))
+        coeffs[:, offset : offset + width] = np.kron([[1.0], [-1.0]], step * np.eye(width))
+        values = _stacked_trace_psi(p, q, psi, coeffs)
+        derivs.append((values[:width] - values[width:]) / (2.0 * step))
+    dirichlet = float(np.sum(np.concatenate(derivs) ** 2))
     scale = max(abs(closed), abs(dirichlet), 1e-30)
     return GradReport(closed, dirichlet, abs(closed - dirichlet) / scale)
-
-
-def _pair_move(
-    p: GrassmannPoint,
-    q: GrassmannPoint,
-    basis_p: list[TangentVector],
-    basis_q: list[TangentVector],
-    coeffs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Move the pair along a combined tangent direction in one step."""
-    np_dim = len(basis_p)
-    xp = sum(
-        (c * b.X for c, b in zip(coeffs[:np_dim], basis_p)),
-        start=np.zeros_like(p.P),
-    )
-    xq = sum(
-        (c * b.X for c, b in zip(coeffs[np_dim:], basis_q)),
-        start=np.zeros_like(q.P),
-    )
-    new_p = exp_normal_coordinate(p, TangentVector(xp, p.k)).P
-    new_q = exp_normal_coordinate(q, TangentVector(xq, q.k)).P
-    return new_p, new_q
 
 
 def hessian_fd(
@@ -354,42 +374,42 @@ def hessian_fd(
     """Finite-difference Hessian of N Tr psi(PQP) in normal coordinates.
 
     Coordinates are the concatenated tangent bases of the P and Q
-    factors, so the matrix has side 2k(N-k) + 2l(N-l).  Central second
-    differences with the given step; diagonal entries are checked at
-    half step and the call fails if the quadratic residual indicates the
-    step is not in the asymptotic regime.  The eigenvalue floor of the
-    result brackets the convexity defect constants empirically.
+    factors, so the matrix has side d = 2k(N-k) + 2l(N-l).  Central
+    second differences with the given step; diagonal entries are checked
+    at half step and the call fails if the quadratic residual indicates
+    the step is not in the asymptotic regime.  The 1 + 2d + 2 + 2d(d-1)
+    probes (base point, +-step per axis, the half-step pair, four per
+    off-diagonal pair) run as one stacked batch.  The eigenvalue floor
+    of the result brackets the convexity defect constants empirically.
     """
     if p.dim != q.dim:
         raise ValidationError("the two projections live in different dimensions")
     n = p.dim
-    basis_p = tangent_basis(n, p.k) if 1 <= p.k <= n - 1 else []
-    basis_q = tangent_basis(n, q.k) if 1 <= q.k <= n - 1 else []
-    dim = len(basis_p) + len(basis_q)
+    dim = _tangent_dim(n, p.k) + _tangent_dim(n, q.k)
     if dim == 0:
         return np.zeros((0, 0))
-
-    def value(coeffs: np.ndarray) -> float:
-        new_p, new_q = _pair_move(p, q, basis_p, basis_q, coeffs)
-        return n * _trace_psi(psi, new_p, new_q)
-
-    base = value(np.zeros(dim))
-    hess = np.empty((dim, dim))
     unit = np.eye(dim)
-
-    def diagonal(a: int, s: float) -> float:
-        return (value(s * unit[a]) - 2.0 * base + value(-s * unit[a])) / s**2
-
-    for a in range(dim):
-        hess[a, a] = diagonal(a, step)
-    probe = diagonal(0, 0.5 * step)
+    a, b = np.triu_indices(dim, 1)
+    half = 0.5 * step * unit[:1]
+    coeffs = np.concatenate([
+        np.zeros((1, dim)),
+        step * unit,
+        -step * unit,
+        half,
+        -half,
+        step * (unit[a] + unit[b]),
+        step * (unit[a] - unit[b]),
+        step * (unit[b] - unit[a]),
+        -step * (unit[a] + unit[b]),
+    ])
+    values = n * _stacked_trace_psi(p, q, psi, coeffs)
+    base = values[0]
+    plus, minus, half_pair, pairs = np.split(values[1:], [dim, 2 * dim, 2 * dim + 2])
+    hess = np.empty((dim, dim))
+    hess[np.diag_indices(dim)] = (plus - 2.0 * base + minus) / step**2
+    probe = (half_pair[0] - 2.0 * base + half_pair[1]) / (0.5 * step) ** 2
     if abs(probe - hess[0, 0]) > 1e-3 * max(1.0, abs(hess[0, 0])):
         raise NumericalError("finite-difference step fails the quadratic check")
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            pp = value(step * (unit[a] + unit[b]))
-            pm = value(step * (unit[a] - unit[b]))
-            mp = value(step * (unit[b] - unit[a]))
-            mm = value(-step * (unit[a] + unit[b]))
-            hess[a, b] = hess[b, a] = (pp - pm - mp + mm) / (4.0 * step**2)
+    pp, pm, mp, mm = pairs.reshape(4, -1)
+    hess[a, b] = hess[b, a] = (pp - pm - mp + mm) / (4.0 * step**2)
     return hess

@@ -15,6 +15,8 @@ to b - a up to rounding.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["DEFAULT_GRID", "graded_panels", "graded_legendre"]
@@ -35,11 +37,20 @@ def graded_panels(size: int) -> np.ndarray:
     return np.concatenate((left, right[1:]))
 
 
+@lru_cache(maxsize=32)
+def _legendre_rule(per: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    pts, wts = np.polynomial.legendre.leggauss(per)
+    pts.flags.writeable = False
+    wts.flags.writeable = False
+    return pts, wts
+
+
 def graded_legendre(m: int, a: float = 0.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and dx-weights on [a, b], graded toward both ends."""
     breaks = a + (b - a) * graded_panels(m)
     per = max(8, int(np.ceil(m / (breaks.size - 1))))
-    pts, wts = np.polynomial.legendre.leggauss(per)
+    pts, wts = _legendre_rule(per)
     lo = breaks[:-1][:, None]
     hi = breaks[1:][:, None]
     half = 0.5 * (hi - lo)

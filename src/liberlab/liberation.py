@@ -67,6 +67,9 @@ class FlowState:
     chi_offset converts the biased discrete energy estimate into an
     absolute entropy: chi_estimate = chi_hat + chi_offset, pinned so the
     estimate at t = 0 equals the quadrature entropy of the initial law.
+    rejected_steps counts the steps flow_evolve has halved so far and
+    min_gap is the smallest particle gap it has seen (inf before any
+    evolution, or with one particle).
     """
 
     particles: np.ndarray
@@ -77,6 +80,8 @@ class FlowState:
     chi_offset: float
     alpha: float
     beta: float
+    rejected_steps: int = 0
+    min_gap: float = math.inf
 
     @property
     def coeff_at_0(self) -> float:
@@ -180,6 +185,10 @@ def _step_ok(x: np.ndarray, proposal: np.ndarray) -> bool:
     return True
 
 
+def _min_gap(x: np.ndarray) -> float:
+    return float(np.diff(x).min()) if x.size > 1 else math.inf
+
+
 def flow_evolve(state: FlowState, t_final: float) -> FlowState:
     """Advance the particle flow to a target time.
 
@@ -190,7 +199,9 @@ def flow_evolve(state: FlowState, t_final: float) -> FlowState:
     partial state.  Accepted steps grow the step size by 1.2, up to the
     cap 0.02, and append a history record with the energy and Fisher
     estimates and the running integral of half the Fisher estimate
-    (trapezoid in time).
+    (trapezoid in time).  The returned state adds the rejected steps to
+    rejected_steps and lowers min_gap to the smallest gap between
+    neighbors at the start and after every accepted step.
 
     The step cap matters once the system crowds against an endpoint:
     the local relaxation rate of the outermost particle grows like n,
@@ -206,6 +217,8 @@ def flow_evolve(state: FlowState, t_final: float) -> FlowState:
     x = state.particles.copy()
     t = state.t
     dt = _DT0
+    rejected = state.rejected_steps
+    gap = min(state.min_gap, _min_gap(x))
     history = list(state.history)
     # the pairwise sum at the accepted positions serves both the Fisher
     # estimate of the step that reached them and the next step's k1
@@ -222,12 +235,17 @@ def flow_evolve(state: FlowState, t_final: float) -> FlowState:
         proposal = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not _step_ok(x, proposal):
             dt *= 0.5
+            rejected += 1
             if dt < _DT_MIN:
                 err = NumericalError(f"particle step collapsed below dt_min at t={t:.6g}")
-                err.state = replace(state, particles=x, t=t, history=tuple(history))
+                err.state = replace(
+                    state, particles=x, t=t, history=tuple(history),
+                    rejected_steps=rejected, min_gap=gap,
+                )
                 raise err
             continue
         x = proposal
+        gap = min(gap, _min_gap(x))
         t += dt
         dt = min(dt * 1.2, _DT_MAX)
         h = (state.mass / x.size) * pair_force(x)
@@ -237,7 +255,9 @@ def flow_evolve(state: FlowState, t_final: float) -> FlowState:
         half = last.half_integral + 0.25 * (phi_hat + last.phi_hat) * (t - last.t)
         last = FlowRecord(t, chi_hat, phi_hat, half)
         history.append(last)
-    return replace(state, particles=x, t=t, history=tuple(history))
+    return replace(
+        state, particles=x, t=t, history=tuple(history), rejected_steps=rejected, min_gap=gap
+    )
 
 
 @dataclass(frozen=True)
@@ -296,7 +316,14 @@ class IstarReport:
     value = integrated + tail; minus_chi is the quadrature entropy
     deficit of the starting law, which the integral should reproduce;
     lower_bound_only flags runs whose Fisher estimate had not decayed
-    by the time horizon, so the tail fit cannot be trusted.
+    by the time horizon, so the tail fit cannot be trusted; floored
+    flags a tail fit whose window stopped at _FISHER_FLOOR of the peak.
+
+    The run itself: steps accepted and rejected_steps halved steps,
+    dt_min and dt_max over the accepted steps except the last, which is
+    clipped to the horizon (read from the recorded times, so to their
+    rounding; 0 when no step was taken), and min_gap, the smallest gap
+    between neighboring particles along the run.
     """
 
     value: float
@@ -306,6 +333,12 @@ class IstarReport:
     rel_gap: float
     decay_rate: float
     lower_bound_only: bool
+    floored: bool
+    steps: int
+    rejected_steps: int
+    dt_min: float
+    dt_max: float
+    min_gap: float
     state: FlowState
 
 
@@ -327,10 +360,12 @@ def istar(
     t = np.array([r.t for r in state.history])
     phi = np.array([r.phi_hat for r in state.history])
     integrated = state.history[-1].half_integral
-    tail, rate, trustworthy = _tail_integral(t, phi)
+    tail, rate, trustworthy, floored = _tail_integral(t, phi)
     minus_chi = -chi_proj(law, grid).chi
     value = integrated + tail
     scale = max(abs(minus_chi), 1e-12)
+    dt = np.diff(t)
+    unclipped = dt[:-1] if dt.size > 1 else dt
     return IstarReport(
         value,
         integrated,
@@ -339,36 +374,44 @@ def istar(
         abs(value - minus_chi) / scale,
         rate,
         not trustworthy,
+        floored,
+        dt.size,
+        state.rejected_steps,
+        float(unclipped.min()) if dt.size else 0.0,
+        float(unclipped.max()) if dt.size else 0.0,
+        state.min_gap,
         state,
     )
 
 
-def _tail_integral(t: np.ndarray, phi: np.ndarray) -> tuple[float, float, bool]:
+def _tail_integral(t: np.ndarray, phi: np.ndarray) -> tuple[float, float, bool, bool]:
     """Integrate the fitted exponential tail of the Fisher estimate.
 
     Fits log phi linearly in t over the final decade of decay above
     _FISHER_FLOOR times the peak, so that a run which reached its
     rounding floor is not fitted on the flat floor; a non-decaying fit
     or a terminal value still above 1% of the peak marks the result as a
-    lower bound.
+    lower bound.  Returns (tail, rate, trustworthy, floored), floored
+    telling whether the window stopped at that floor.
     """
     terminal = phi[-1]
     peak = float(np.max(phi))
     if terminal <= 0.0 or peak <= 0.0:
-        return 0.0, math.inf, True
+        return 0.0, math.inf, True, False
     floor = _FISHER_FLOOR * peak
     idx = np.nonzero(phi <= 10.0 * max(terminal, floor))[0]
     start = idx[0] if idx.size else max(0, phi.size - 2)
     below = np.nonzero(phi[start:] < floor)[0]
-    stop = start + below[0] if below.size else phi.size
+    floored = bool(below.size)
+    stop = start + below[0] if floored else phi.size
     ts, ps = t[start:stop], phi[start:stop]
     good = ps > 0.0
     if np.count_nonzero(good) < 2:
-        return 0.0, math.inf, True
+        return 0.0, math.inf, True, floored
     slope, _ = np.polyfit(ts[good], np.log(ps[good]), 1)
     if slope >= -1e-12:
-        return 0.0, 0.0, False
+        return 0.0, 0.0, False, floored
     rate = -slope
     tail = 0.5 * terminal / rate
     trustworthy = terminal <= 0.01 * peak
-    return tail, rate, trustworthy
+    return tail, rate, trustworthy, floored

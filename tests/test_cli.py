@@ -293,3 +293,21 @@ def test_istar_command(capsys):
     report = json.loads(out)
     assert report["minus_chi"] == pytest.approx(0.375 - np.log(2.0) / 2.0, abs=1e-9)
     assert report["relative_gap"] < 0.3
+
+
+def test_istar_reports_how_the_flow_ran(capsys):
+    from liberlab.laws import load_law
+    from liberlab.liberation import istar
+
+    code, out, _ = run(capsys, "istar", "--law", UNIFORM, "--particles", "16", "--tmax", "0.05")
+    assert code == 0
+    report = json.loads(out)
+    rep = istar(load_law(UNIFORM), 16, 0.05)
+    # steps counts accepted steps, not the t = 0 record
+    assert report["steps"] == len(rep.state.history) - 1 == 14
+    assert report["rejected_steps"] == rep.rejected_steps
+    assert report["dt_min"] == rep.dt_min and report["dt_max"] == rep.dt_max
+    assert 0.0 < report["dt_min"] <= report["dt_max"] <= 0.02 * (1.0 + 1e-12)
+    assert report["min_gap"] == rep.min_gap
+    assert 0.0 < report["min_gap"] <= np.diff(rep.state.particles).min()
+    assert report["floored"] is False

@@ -126,12 +126,34 @@ def test_block_spectra_match_the_dense_pqp_eigenvalues(model):
     spec = EnsembleSpec(*model)
     n0, n1, _ = spec.counts
     draws = sample_spectra(spec, 50, seed=11)
-    rng = np.random.default_rng(11)
-    frames = [haar_unitary(spec.N, rng, (50,))[..., :rank] for rank in (spec.k, spec.l)]
-    p, q = (f @ np.conjugate(np.swapaxes(f, -1, -2)) for f in frames)
+    # the same stream: P is the model projection, Q = W W* for one Haar frame
+    w = haar_unitary(spec.N, np.random.default_rng(11), (50,))[..., : spec.l]
+    p = np.diag(np.arange(spec.N) < spec.k).astype(complex)
+    q = w @ np.conjugate(np.swapaxes(w, -1, -2))
     dense = np.linalg.eigvalsh(p @ q @ p)
     np.testing.assert_allclose(draws, dense[:, n0 : spec.N - n1], rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(dense[:, :n0], 0.0, rtol=0.0, atol=1e-13)
+
+
+def _two_frame_spectra(spec, trials, seed):
+    """The former route: P = V V* and Q = W W* for two independent Haar frames."""
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(spec.N, rng, (trials,), spec.k)
+    w = haar_unitary(spec.N, rng, (trials,), spec.l)
+    vals = np.linalg.svd(np.conjugate(np.swapaxes(v, -1, -2)) @ w, compute_uv=False) ** 2
+    _, n1, _ = spec.counts
+    return vals[:, n1:][:, ::-1]
+
+
+@pytest.mark.parametrize("model", [(5, 3, 4), (7, 2, 4)])
+def test_one_frame_draws_have_the_two_frame_law(model):
+    spec = EnsembleSpec(*model)
+    one = sample_spectra(spec, 4000, seed=21)
+    two = _two_frame_spectra(spec, 4000, seed=22)
+    assert one.shape == two.shape
+    # each ordered eigenvalue is independent across draws
+    for j in range(one.shape[1]):
+        assert ks_2samp(one[:, j], two[:, j]).pvalue > 1e-3, j
 
 
 def test_single_draw_wrapper():

@@ -1,5 +1,7 @@
 """Geometry of projection pairs: tangent spaces, curvature, gradients."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from liberlab.errors import NumericalError, ValidationError
 from liberlab.grassmann import (
     GrassmannPoint,
     TangentVector,
+    _stacked_trace_psi,
+    apply_spectral,
     exp_normal_coordinate,
     grad_norm_trace_fn,
     haar_unitary,
@@ -211,3 +215,143 @@ def test_frame_adapts_to_the_projection():
     p = sample_haar_projection(5, 2, 77)
     u = p.frame
     assert hs_norm(u @ model_projection(5, 2) @ u.conj().T - p.P) <= 1e-12
+
+
+# ---------------------------------------------------------------- per-probe reference
+# The derivative checks evaluate their probes as stacked arrays.  The
+# functions below are the plain loop they replace: one TangentVector, one
+# GrassmannPoint and one apply_spectral per probe.
+
+
+def _reference_trace_psi(psi, p, q):
+    return float(np.sum(apply_spectral(psi, p @ q @ p)[2]))
+
+
+def _reference_pair_move(p, q, coeffs):
+    n = p.dim
+    bases = [tangent_basis(n, point.k) if 1 <= point.k <= n - 1 else [] for point in (p, q)]
+    split = len(bases[0])
+    moved = []
+    for point, basis, cs in ((p, bases[0], coeffs[:split]), (q, bases[1], coeffs[split:])):
+        x = sum((c * b.X for c, b in zip(cs, basis)), start=np.zeros_like(point.P))
+        moved.append(exp_normal_coordinate(point, TangentVector(x, point.k)).P)
+    return moved, split + len(bases[1])
+
+
+def reference_hessian(p, q, psi, step=5e-4):
+    n = p.dim
+    dim = _reference_pair_move(p, q, np.zeros(0))[1]
+
+    def value(coeffs):
+        return n * _reference_trace_psi(psi, *_reference_pair_move(p, q, coeffs)[0])
+
+    base = value(np.zeros(dim))
+    unit = np.eye(dim)
+    hess = np.empty((dim, dim))
+    for a in range(dim):
+        hess[a, a] = (value(step * unit[a]) - 2.0 * base + value(-step * unit[a])) / step**2
+        for b in range(a + 1, dim):
+            pp = value(step * (unit[a] + unit[b]))
+            pm = value(step * (unit[a] - unit[b]))
+            mp = value(step * (unit[b] - unit[a]))
+            mm = value(-step * (unit[a] + unit[b]))
+            hess[a, b] = hess[b, a] = (pp - pm - mp + mm) / (4.0 * step**2)
+    return hess
+
+
+def reference_dirichlet(p, q, psi, step=1e-4):
+    derivs = []
+    for point, other, point_first in ((p, q.P, True), (q, p.P, False)):
+        if not 1 <= point.k <= point.dim - 1:
+            continue
+        for b in tangent_basis(point.dim, point.k):
+            f = []
+            for s in (step, -step):
+                moved = exp_normal_coordinate(point, TangentVector(s * b.X, point.k)).P
+                pair = (moved, other) if point_first else (other, moved)
+                f.append(_reference_trace_psi(psi, *pair))
+            derivs.append((f[0] - f[1]) / (2.0 * step))
+    return float(np.sum(np.asarray(derivs) ** 2))
+
+
+STACKED_CASES = [(4, 2, 1), (6, 1, 2), (6, 3, 3), (5, 2, 0), (5, 2, 5)]
+
+
+@pytest.mark.parametrize("model", STACKED_CASES)
+def test_stacked_hessian_matches_the_per_probe_loop(model):
+    n, k, l = model
+    rng = np.random.default_rng(sum(model))
+    p = sample_haar_projection(n, k, rng)
+    q = sample_haar_projection(n, l, rng)
+    psi = PsiSpec((0.0, 0.7, -0.4, 0.3))
+    got = hessian_fd(p, q, psi)
+    want = reference_hessian(p, q, psi)
+    assert got.shape == want.shape == (2 * k * (n - k) + 2 * l * (n - l),) * 2
+    assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("model", STACKED_CASES)
+def test_stacked_dirichlet_matches_the_per_probe_loop(model):
+    n, k, l = model
+    rng = np.random.default_rng(100 + sum(model))
+    p = sample_haar_projection(n, k, rng)
+    q = sample_haar_projection(n, l, rng)
+    psi = PsiSpec((0.0, 0.5, 0.25, -0.5))
+    got = grad_norm_trace_fn(p, q, psi).dirichlet_fd
+    want = reference_dirichlet(p, q, psi)
+    if 0 < l < n:
+        assert abs(got - want) <= 1e-9 * abs(want)
+    else:
+        # Q is 0 or I, so Tr psi(PQP) does not depend on the pair and
+        # both routes read rounding noise
+        assert max(got, want) <= 1e-18
+
+
+def test_stacked_probes_keep_the_projection_checks():
+    # a frame that is not unitary carries every moved "projection" off
+    # idempotency, and the stacked checks must see it
+    rng = np.random.default_rng(37)
+    p = sample_haar_projection(4, 2, rng)
+    q = sample_haar_projection(4, 1, rng)
+    bent = GrassmannPoint(p.P, p.k, frame=1.01 * p.frame)
+    psi = PsiSpec((0.0, 1.0))
+    with pytest.raises(ValidationError, match="idempotent"):
+        hessian_fd(bent, q, psi)
+    with pytest.raises(ValidationError, match="idempotent"):
+        grad_norm_trace_fn(bent, q, psi)
+
+
+def test_stacked_probes_keep_the_spectrum_check():
+    # moved factors are checked projections, so only a kept factor can
+    # carry a stray spectrum: a scaled Q pushes P'QP' past 1
+    rng = np.random.default_rng(41)
+    p = sample_haar_projection(4, 2, rng)
+    q = sample_haar_projection(4, 2, rng)
+    wide = SimpleNamespace(P=1.5 * q.P, k=q.k, dim=q.dim)
+    coeffs = np.zeros((2, 16))
+    coeffs[0, 0] = 1e-4
+    with pytest.raises(NumericalError, match="strays"):
+        _stacked_trace_psi(p, wide, PsiSpec((0.0, 1.0)), coeffs)
+
+
+def test_stacked_hessian_evaluates_the_same_probes(monkeypatch):
+    import liberlab.grassmann as grassmann
+
+    rows = []
+    inner = grassmann._stacked_trace_psi
+
+    def counted(p, q, psi, coeffs):
+        rows.append(coeffs.shape[0])
+        return inner(p, q, psi, coeffs)
+
+    monkeypatch.setattr(grassmann, "_stacked_trace_psi", counted)
+    rng = np.random.default_rng(43)
+    p = sample_haar_projection(6, 1, rng)
+    q = sample_haar_projection(6, 2, rng)
+    hess = hessian_fd(p, q, PsiSpec((0.0, 1.0)))
+    side = hess.shape[0]
+    # base point, +-step per axis, the half-step pair, four per off-diagonal pair
+    assert sum(rows) == 1 + 2 * side + 2 + 2 * side * (side - 1) == 1355
+    rows.clear()
+    grad_norm_trace_fn(p, q, PsiSpec((0.0, 1.0)))
+    assert rows == [2 * 10, 2 * 16]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liberlab.grids import graded_legendre
+from liberlab.grids import _legendre_rule, graded_legendre
 
 
 def test_graded_legendre_integrates_smooth_functions():
@@ -27,3 +27,16 @@ def test_graded_legendre_maps_to_a_window():
     assert np.all((x > 0.2) & (x < 0.7))
     assert np.sum(w) == pytest.approx(0.5, abs=1e-14)
     assert np.dot(w, 1.0 / np.sqrt(0.7 - x)) == pytest.approx(2.0 * np.sqrt(0.5), rel=1e-5)
+
+
+def test_panel_rule_is_computed_once_and_read_only():
+    x, w = graded_legendre(512)
+    again = graded_legendre(512)
+    assert np.array_equal(x, again[0]) and np.array_equal(w, again[1])
+    per = 8
+    pts, wts = _legendre_rule(per)
+    assert _legendre_rule(per)[0] is pts
+    fresh = np.polynomial.legendre.leggauss(per)
+    assert np.array_equal(pts, fresh[0]) and np.array_equal(wts, fresh[1])
+    with pytest.raises(ValueError):
+        pts[0] = 0.0

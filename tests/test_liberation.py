@@ -117,6 +117,21 @@ def test_step_collapse_reports_the_partial_state():
         flow_evolve(jammed, 1.0)
     assert isinstance(info.value.state, FlowState)
     assert info.value.state.t == 0.0
+    # every halving from dt = 1e-3 down past 1e-12 is a rejected step
+    assert info.value.state.rejected_steps == 30
+    assert info.value.state.min_gap == pytest.approx(1e-15, rel=0.2)
+
+
+def test_flow_bookkeeping_accumulates_across_calls():
+    # at n = 192 the cap-limited steps start failing the gap rule by t = 0.5
+    start = init_flow(UNIFORM, 192)
+    assert start.rejected_steps == 0 and start.min_gap == np.inf
+    first = flow_evolve(start, 0.5)
+    both = flow_evolve(first, 1.0)
+    assert first.rejected_steps > 0
+    assert both.rejected_steps >= first.rejected_steps
+    assert 0.0 < first.min_gap <= np.diff(start.particles).min()
+    assert both.min_gap <= min(first.min_gap, np.diff(both.particles).min())
 
 
 def test_step_check_rejects_nan():
@@ -158,6 +173,7 @@ def test_istar_decay_rate_is_fitted_above_the_rounding_floor():
     rep = istar(UNIFORM, n=64, t_max=10.0)
     phi = np.array([r.phi_hat for r in rep.state.history])
     assert phi[-1] <= 1e-13 * np.max(phi)
+    assert rep.floored
     assert 3.8 <= rep.decay_rate <= 4.2
 
 
