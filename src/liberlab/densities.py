@@ -33,6 +33,7 @@ functional returns its trivial value for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -73,10 +74,12 @@ _EDGE_TOL = 1e-12
 _SQRT_KINDS = ("arcsine", "free_pair", "cheb")
 _SMOOTH_KINDS = ("uniform", "table")
 _LOG2 = float(np.log(2.0))
-# Entries in one row block of the smooth-kernel sum: 2**16 doubles make
-# 512 KB, so the two block buffers of density_transport (1 MB together)
-# stay in a 2 MB L2 cache instead of streaming through DRAM.
-_BLOCK_ENTRIES = 2**16
+# Entries in the one strip buffer of density_transport's kernel sum:
+# 2**17 doubles make 1 MB, which stays in a 2 MB L2 cache.  That gives
+# strips of 123 rows at 1064 nodes (grid 1024) and 31 rows at 4104
+# (grid 4096); one-BLAS-thread timings on a 2-vCPU Xeon were flat over
+# 64-123 rows at 1064 nodes and 24-56 rows at 4104.
+_BLOCK_ENTRIES = 2**17
 _CDF_NODES = 8192  # quadrature nodes of the distribution-function table
 _W1_POINTS = 20001  # evaluation points of w1_empirical_to_density
 
@@ -109,6 +112,11 @@ class DensitySpec:
                 arr = np.asarray(arr, dtype=float)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
+
+    @cached_property
+    def _pchip(self) -> PchipInterpolator:
+        """The monotone cubic through a table's samples, built on first use."""
+        return PchipInterpolator(self.nodes, self.values, extrapolate=False)
 
 
 def zero_density() -> DensitySpec:
@@ -199,7 +207,7 @@ def table_density(
     if a <= -1.0 or b <= -1.0:
         raise ValidationError("edge exponents must exceed -1 for an integrable density")
     spec = DensitySpec("table", 1.0, (0.0, 1.0), (a, b), nodes=nodes, values=values)
-    quad_mass = _table_exact_mass(nodes, values, a, b)
+    quad_mass = _table_exact_mass(spec)
     if mass is None:
         return replace(spec, mass=float(quad_mass))
     mass = float(mass)
@@ -291,7 +299,7 @@ def _smooth_callable(d: DensitySpec) -> Callable[[np.ndarray], np.ndarray]:
 
         return f
     if d.kind == "table":
-        interp = PchipInterpolator(d.nodes, d.values, extrapolate=False)
+        interp = d._pchip
         x0, xl = d.nodes[0], d.nodes[-1]
         f0, fl = d.values[0], d.values[-1]
         ea, eb = d.edge_exponents
@@ -316,7 +324,7 @@ def _smooth_callable(d: DensitySpec) -> Callable[[np.ndarray], np.ndarray]:
 def _smooth_derivative(d: DensitySpec) -> Callable[[np.ndarray], np.ndarray]:
     if d.kind == "uniform":
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    interp = PchipInterpolator(d.nodes, d.values, extrapolate=False).derivative()
+    interp = d._pchip.derivative()
     x0, xl = d.nodes[0], d.nodes[-1]
     f0, fl = d.values[0], d.values[-1]
     ea, eb = d.edge_exponents
@@ -357,15 +365,16 @@ def density_values(d: DensitySpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _table_exact_mass(nodes: np.ndarray, values: np.ndarray, a: float, b: float) -> float:
+def _table_exact_mass(d: DensitySpec) -> float:
     """Exact integral of a table density: cubic inside, power tails outside.
 
     The interior part is piecewise cubic, so its antiderivative is exact;
     the tails f(x0)*(x/x0)^a and f(xL)*((1-x)/(1-xL))^b integrate in
     closed form.
     """
-    interp = PchipInterpolator(nodes, values, extrapolate=False)
-    anti = interp.antiderivative()
+    nodes, values = d.nodes, d.values
+    a, b = d.edge_exponents
+    anti = d._pchip.antiderivative()
     total = float(anti(nodes[-1]) - anti(nodes[0]))
     if values[0] > 0.0:
         total += values[0] * nodes[0] / (a + 1.0)
@@ -504,10 +513,20 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
     where the second term is the exact principal value of the constant
     f(x).  The remaining integrand is bounded, and the quadrature sum
     over j != i drops the diagonal node, where the integrand tends to
-    -f'(x_i); the correction -w_i f'(x_i) puts it back.  The sum costs
-    O(n^2) time for n nodes and is taken a few rows at a time in two
-    reused (rows, n) buffers, so it needs O(rows * n) memory with rows
-    chosen to keep each buffer near _BLOCK_ENTRIES entries.
+    -f'(x_i); the correction -w_i f'(x_i) puts it back.  The sum is taken
+    in its split form
+
+        sum_{j != i} R_ij w_j f_j - f_i sum_{j != i} R_ij w_j,  R_ij = 1/(x_i - x_j),
+
+    and R is antisymmetric, so each strip of rows forms R only against
+    the columns from its first row on, at one subtract and one
+    reciprocal per stored entry, about n^2/2 entries for n nodes.  Each
+    strip is applied as one two-column product with [w f, w] to its
+    own rows and, transposed and negated, to the rows below it.  All
+    strips reuse one buffer of about _BLOCK_ENTRIES entries (at least
+    one row), so the memory beyond it is O(n).  A uniform density is
+    constant on its window, so its sum vanishes identically and is
+    skipped.
     """
     if d.kind == "zero" or d.mass == 0.0:
         empty = np.zeros(0)
@@ -527,20 +546,25 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
     f = _smooth_callable(d)(x)
     fp = _smooth_derivative(d)(x)
     hf = f * np.log((x - a) / (b - x)) - w * fp
+    if d.kind == "uniform":
+        # f is constant on the window, so the sum vanishes identically
+        return TransportData(x, w, w * f, hf)
     n = x.size
     rows = max(1, min(n, _BLOCK_ENTRIES // n))
-    diff_buf = np.empty((rows, n))
-    quot_buf = np.empty((rows, n))
+    wv = np.column_stack((w * f, w))
+    acc = np.zeros((n, 2))
+    buf = np.empty(rows * n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        diff = diff_buf[: stop - start]
-        quot = quot_buf[: stop - start]
-        np.subtract(x[start:stop, None], x, out=diff)
-        np.subtract(f, f[start:stop, None], out=quot)
-        # the diagonal entries x_i - x_i; their numerators are exactly 0
-        diff.reshape(-1)[start :: n + 1] = 1.0
-        np.divide(quot, diff, out=quot)
-        hf[start:stop] += quot @ w
+        # R_ij = 1/(x_i - x_j) for the strip's rows and the columns j >= start
+        r = buf[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+        np.subtract(x[start:stop, None], x[start:], out=r)
+        r.reshape(-1)[:: n - start + 1] = np.inf  # R_ii = 1/inf = 0
+        np.reciprocal(r, out=r)
+        acc[start:stop] += r @ wv[start:]
+        # R_ji = -R_ij gives the rows below the strip their columns in it
+        acc[stop:] -= r[:, stop - start :].T @ wv[start:stop]
+    hf += acc[:, 0] - f * acc[:, 1]
     return TransportData(x, w, w * f, hf)
 
 

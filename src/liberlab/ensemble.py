@@ -129,26 +129,28 @@ def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
     one unitary, so P is the model projection onto the first k
     coordinates and only Q = W W* is drawn, from a Haar frame W (N x l).
     The nonzero spectrum of PQP is then the squared singular values of
-    the top k x l block of W, so the N - min(k, l) zero eigenvalues are
-    never formed and need no check.  Draws run on stacked arrays in
-    batches, which is what makes 1e5 draws at small N affordable.  The
-    k + l - N structural eigenvalues must sit at 1 within tolerance or
-    the draw is rejected as a solver failure.
+    the top k x l block B of W, which are the eigenvalues of the smaller
+    of the Gram matrices B B* and B* B, so the N - min(k, l) zero
+    eigenvalues are never formed and need no check.  Draws run on
+    stacked arrays in batches, which is what makes 1e5 draws at small N
+    affordable.  The k + l - N structural eigenvalues must sit at 1
+    within tolerance or the draw is rejected as a solver failure.
     """
     if spec.psi is not None:
         raise ValidationError("direct sampling is only defined for the untilted model")
-    _, n1, _ = spec.counts
+    _, n1, n = spec.counts
     rng = np.random.default_rng(seed)
     tol = max(_STRUCTURAL_TOL, spec.N * 64 * np.finfo(float).eps)
     rows = []
     remaining = trials
     while remaining > 0:
         t = min(_BATCH, remaining)
-        w = haar_unitary(spec.N, rng, (t,), spec.l)
-        vals = np.linalg.svd(w[:, : spec.k, :], compute_uv=False) ** 2
-        if n1 and float(np.max(np.abs(vals[:, :n1] - 1.0))) > tol:
+        b = haar_unitary(spec.N, rng, (t,), spec.l)[:, : spec.k, :]
+        bh = np.conjugate(np.swapaxes(b, -1, -2))
+        vals = np.linalg.eigvalsh(b @ bh if spec.k <= spec.l else bh @ b)
+        if n1 and float(np.max(np.abs(vals[:, n:] - 1.0))) > tol:
             raise NumericalError("structural unit eigenvalues stray beyond tolerance")
-        rows.append(np.clip(vals[:, n1:][:, ::-1], 0.0, 1.0))
+        rows.append(np.clip(vals[:, :n], 0.0, 1.0))
         remaining -= t
     return np.concatenate(rows, axis=0)
 

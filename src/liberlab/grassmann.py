@@ -145,11 +145,12 @@ def haar_unitary(
     diagonal of R to positive reals, which removes the phase ambiguity
     and makes the factor exactly Haar.  A nonempty batch draws a stack
     of independent unitaries of shape batch + (n, n).  columns = k
-    returns only the first k columns of the same draw, from the QR of
-    the first k Ginibre columns: the random stream is the same.
+    draws only an n x k Ginibre block and returns its phase-fixed QR
+    frame, which has the law of the first k columns of a Haar unitary;
+    it consumes a different random stream than the full draw.
     """
-    shape = (*batch, n, n)
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[..., :columns]
+    shape = (*batch, n, n if columns is None else columns)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     g /= np.sqrt(2.0)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)

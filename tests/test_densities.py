@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liberlab import densities
 from liberlab.densities import (
     _smooth_derivative,
     arcsine_density,
@@ -138,7 +139,7 @@ def dense_transform(d, x, w):
     return hf
 
 
-@pytest.mark.parametrize("m", [100, 1024, 4096])
+@pytest.mark.parametrize("m", [1, 2, 7, 33, 100, 1024, 4096])
 def test_smooth_transport_matches_dense_sum(m):
     laws = [
         random_generic_law(np.random.default_rng(11)).density,
@@ -149,6 +150,26 @@ def test_smooth_transport_matches_dense_sum(m):
         td = density_transport(d, m)
         oracle = dense_transform(d, td.x, td.w_dx)
         assert np.max(np.abs(td.hf - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7, 64, 191])
+def test_strip_height_does_not_change_the_sum(monkeypatch, rows):
+    # 192 nodes: strips that divide the count, leave a short last strip, or are one row
+    d = random_generic_law(np.random.default_rng(11)).density
+    x = density_transport(d, 100).x
+    monkeypatch.setattr(densities, "_BLOCK_ENTRIES", rows * x.size)
+    td = density_transport(d, 100)
+    oracle = dense_transform(d, td.x, td.w_dx)
+    assert np.max(np.abs(td.hf - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("d", [uniform_density(1.0), uniform_density(0.5, (0.2, 0.7))])
+def test_uniform_transport_is_the_constant_term_exactly(d):
+    a, b = d.support
+    td = density_transport(d, 1024)
+    x, w = td.x, td.w_dx
+    f = density_values(d, x)
+    np.testing.assert_array_equal(td.hf, f * np.log((x - a) / (b - x)) - w * 0.0)
 
 
 def test_smooth_transport_memory_is_blocked():

@@ -127,7 +127,7 @@ def test_block_spectra_match_the_dense_pqp_eigenvalues(model):
     n0, n1, _ = spec.counts
     draws = sample_spectra(spec, 50, seed=11)
     # the same stream: P is the model projection, Q = W W* for one Haar frame
-    w = haar_unitary(spec.N, np.random.default_rng(11), (50,))[..., : spec.l]
+    w = haar_unitary(spec.N, np.random.default_rng(11), (50,), spec.l)
     p = np.diag(np.arange(spec.N) < spec.k).astype(complex)
     q = w @ np.conjugate(np.swapaxes(w, -1, -2))
     dense = np.linalg.eigvalsh(p @ q @ p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from liberlab import densities
 from liberlab.densities import (
     arcsine_density,
     cheb_density,
@@ -16,6 +17,8 @@ from liberlab.entropy import equilibrium_solve, relative_sigma_h
 from liberlab.fisher import check_lsi, hilbert_transform, phi_star, relative_phi_h
 from liberlab.laws import ProjectionPairLaw, free_pair_law
 from liberlab.potentials import poly_potential
+
+from conftest import random_generic_law
 
 M = 2048
 UNIFORM = ProjectionPairLaw(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, uniform_density(1.0))
@@ -135,6 +138,38 @@ def test_check_lsi_uniform_report():
     assert rep.margin == pytest.approx(CHI_UNIFORM + PHI_UNIFORM, abs=1e-10)
     assert not rep.vacuous
     assert rep.sigma_h is None
+
+
+# chi, phi_star and margin of check_lsi(random_generic_law(seed), grid=1024),
+# recorded from the elementwise singularity-subtracted transform sum
+TABLE_LSI_1024 = {
+    3: (-0.03045269977593501, 0.2099661963900311, 0.1795134966140961),
+    5: (-0.11462667429660123, 3.1138055179332307, 2.9991788436366296),
+    8: (-0.005259550355545414, 0.07823853230602609, 0.07297898195048068),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TABLE_LSI_1024))
+def test_check_lsi_on_table_laws_matches_recorded_values(seed):
+    rep = check_lsi(random_generic_law(np.random.default_rng(seed)), grid=1024)
+    got = (rep.chi, rep.phi_star, rep.margin)
+    np.testing.assert_allclose(got, TABLE_LSI_1024[seed], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("h", [None, poly_potential((0.0, 0.0, 0.5))])
+def test_check_lsi_builds_one_interpolant_per_table_law(monkeypatch, h):
+    law = random_generic_law(np.random.default_rng(3))
+    builds = []
+
+    class Counting(densities.PchipInterpolator):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(densities, "PchipInterpolator", Counting)
+    check_lsi(law, h, c1=0.3, c2=0.3, grid=256)
+    check_lsi(law, h, c1=0.3, c2=0.3, grid=512)
+    assert len(builds) <= 1
 
 
 def test_check_lsi_vacuous_on_non_generic():
