@@ -48,6 +48,7 @@ from .chebyshev import (
 )
 from .errors import ValidationError
 from .grids import graded_legendre
+from .loggas import difference_factors
 
 __all__ = [
     "DensitySpec",
@@ -519,14 +520,16 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
         sum_{j != i} R_ij w_j f_j - f_i sum_{j != i} R_ij w_j,  R_ij = 1/(x_i - x_j),
 
     and R is antisymmetric, so each strip of rows forms R only against
-    the columns from its first row on, at one subtract and one
-    reciprocal per stored entry, about n^2/2 entries for n nodes.  Each
-    strip is applied as one two-column product with [w f, w] to its
-    own rows and, transposed and negated, to the rows below it.  All
-    strips reuse one buffer of about _BLOCK_ENTRIES entries (at least
-    one row), so the memory beyond it is O(n).  A uniform density is
-    constant on its window, so its sum vanishes identically and is
-    skipped.
+    the columns from its first row on, at one difference and one
+    reciprocal per stored entry, about n^2/2 entries for n nodes.  A
+    strip's differences are one BLAS product of slices of the factors
+    from loggas.difference_factors, bit for bit the broadcast
+    subtraction (see loggas.differences).  Each strip is applied as one
+    two-column product with [w f, w] to its own rows and, transposed
+    and negated, to the rows below it.  All strips reuse one buffer of
+    about _BLOCK_ENTRIES entries (at least one row), so the memory
+    beyond it is O(n).  A uniform density is constant on its window, so
+    its sum vanishes identically and is skipped.
     """
     if d.kind == "zero" or d.mass == 0.0:
         empty = np.zeros(0)
@@ -554,11 +557,12 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
     wv = np.column_stack((w * f, w))
     acc = np.zeros((n, 2))
     buf = np.empty(rows * n)
+    left, right = difference_factors(x, x)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         # R_ij = 1/(x_i - x_j) for the strip's rows and the columns j >= start
         r = buf[: (stop - start) * (n - start)].reshape(stop - start, n - start)
-        np.subtract(x[start:stop, None], x[start:], out=r)
+        np.matmul(left[start:stop], right[:, start:], out=r)
         r.reshape(-1)[:: n - start + 1] = np.inf  # R_ii = 1/inf = 0
         np.reciprocal(r, out=r)
         acc[start:stop] += r @ wv[start:]

@@ -201,7 +201,9 @@ def flow_evolve(state: FlowState, t_final: float) -> FlowState:
     estimates and the running integral of half the Fisher estimate
     (trapezoid in time).  The returned state adds the rejected steps to
     rejected_steps and lowers min_gap to the smallest gap between
-    neighbors at the start and after every accepted step.
+    neighbors at the start and after every accepted step.  A target
+    time that is not finite, or before the state's, raises
+    ValidationError.
 
     The step cap matters once the system crowds against an endpoint:
     the local relaxation rate of the outermost particle grows like n,
@@ -212,6 +214,8 @@ def flow_evolve(state: FlowState, t_final: float) -> FlowState:
     hundred unconditionally stable; finer systems self-cap through the
     rejection rule.
     """
+    if not math.isfinite(t_final):
+        raise ValidationError(f"the flow needs a finite target time, got {t_final}")
     if t_final < state.t:
         raise ValidationError("cannot flow backward in time")
     x = state.particles.copy()

@@ -3,7 +3,8 @@
 The free eigenvalues of the two-projection model and the particles of
 the liberation flow are the same gas, with pair energy
 sum_{i<j} log|x_i - x_j|.  This module is the one implementation of
-that sum, of its gradient and of one site's energy against the rest.
+that sum, of its gradient and of one site's energy against the rest,
+and of the difference matrix they are built from.
 The one-body edge and tilt terms stay with the callers because they
 differ for a reason: the flow's velocity keeps the mobility form
 c0 (1 - x) - c1 x, finite at Runge-Kutta stage points that land on 0
@@ -14,13 +15,45 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pair_energy", "pair_force", "site_energy"]
+__all__ = ["difference_factors", "differences", "pair_energy", "pair_force", "site_energy"]
+
+
+def difference_factors(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors [rows, 1] (n x 2) and [1; -cols] (2 x m) of differences.
+
+    A caller that forms the matrix in blocks builds them once and hands
+    row slices of the first and column slices of the second to np.matmul.
+    """
+    left = np.empty((rows.size, 2))
+    left[:, 0] = rows
+    left[:, 1] = 1.0
+    right = np.empty((2, cols.size))
+    right[0] = 1.0
+    np.negative(cols, out=right[1])
+    return left, right
+
+
+def differences(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rows_i - cols_j for every i, j: np.subtract.outer as one k = 2 product.
+
+    Entry (i, j) of [rows, 1] @ [1; -cols] sums rows_i * 1 and 1 * -cols_j.
+    Both products are exact and a sum of two terms is rounded once,
+    whatever order or fused multiply-add the BLAS kernel uses, so every
+    entry is the correctly rounded rows_i - cols_j, bit for bit what
+    np.subtract.outer gives, subnormals included.  Only an exact zero
+    (coincident points) may differ in its sign, which pair_energy's abs
+    and pair_force's overwritten diagonal never see.  A matrix product
+    streams the output at BLAS speed, which the broadcast ufunc loop
+    does not.
+    """
+    left, right = difference_factors(rows, cols)
+    return np.matmul(left, right, out=out)
 
 
 def pair_energy(x: np.ndarray) -> float:
     """sum_{i<j} log|x_i - x_j|, -inf on coincident points: half the
     log of the full gap matrix, taken in place with 1 on the diagonal."""
-    gaps = np.subtract.outer(x, x)
+    gaps = differences(x, x)
     np.abs(gaps, out=gaps)
     np.fill_diagonal(gaps, 1.0)
     with np.errstate(divide="ignore"):
@@ -30,7 +63,7 @@ def pair_energy(x: np.ndarray) -> float:
 
 def pair_force(x: np.ndarray) -> np.ndarray:
     """sum_{j != i} 1/(x_i - x_j) for every i, the gradient of pair_energy."""
-    diff = np.subtract.outer(x, x)
+    diff = differences(x, x)
     np.fill_diagonal(diff, np.inf)
     np.reciprocal(diff, out=diff)
     return np.sum(diff, axis=1)
@@ -41,7 +74,8 @@ def site_energy(x: np.ndarray, i: int, y: np.ndarray) -> np.ndarray:
 
     One row per candidate, so a Metropolis step scores its proposal and
     the current position in one call; a scalar y gives a scalar.  -inf,
-    with numpy's divide warning, where y hits another point.
+    with numpy's divide warning, where y hits another point.  Its blocks
+    have one or two rows, too few for differences to gain on the ufunc.
     """
     gaps = np.subtract.outer(y, x)
     np.abs(gaps, out=gaps)

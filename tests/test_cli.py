@@ -295,6 +295,19 @@ def test_istar_command(capsys):
     assert report["relative_gap"] < 0.3
 
 
+@pytest.mark.parametrize("command", ["istar", "liberate"])
+@pytest.mark.parametrize("tmax", ["inf", "nan", "-1"])
+def test_unreachable_flow_horizon_is_a_usage_error(tmp_path, capsys, command, tmax):
+    out = tmp_path / "flow.out"
+    code, _, err = run(
+        capsys, command, "--law", UNIFORM, "--particles", "16",
+        "--tmax", tmax, "--out", str(out),
+    )
+    assert code == 1
+    assert "error" in err.lower()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_istar_reports_how_the_flow_ran(capsys):
     from liberlab.laws import load_law
     from liberlab.liberation import istar

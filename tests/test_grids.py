@@ -40,3 +40,9 @@ def test_panel_rule_is_computed_once_and_read_only():
     assert np.array_equal(pts, fresh[0]) and np.array_equal(wts, fresh[1])
     with pytest.raises(ValueError):
         pts[0] = 0.0
+
+
+@pytest.mark.parametrize("m, nodes", [(1, 192), (192, 192), (193, 216), (1024, 1064), (4096, 4104)])
+def test_node_count_is_floored_and_rounded_up_per_panel(m, nodes):
+    x, w = graded_legendre(m)
+    assert x.size == w.size == nodes

@@ -1,5 +1,7 @@
 """Particle flow: exact small-system dynamics, invariants, production."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,13 @@ def test_flow_rejects_backward_time():
     state = init_flow(UNIFORM, 8)
     with pytest.raises(ValidationError, match="backward"):
         flow_evolve(state, -0.5)
+
+
+@pytest.mark.parametrize("t_final", [math.inf, math.nan])
+def test_flow_rejects_a_non_finite_target_time(t_final):
+    state = init_flow(UNIFORM, 8)
+    with pytest.raises(ValidationError, match="finite"):
+        flow_evolve(state, t_final)
 
 
 def test_step_collapse_reports_the_partial_state():

@@ -9,13 +9,41 @@ from liberlab.densities import uniform_density
 from liberlab.ensemble import EnsembleSpec, mcmc_tilted_spectrum
 from liberlab.laws import ProjectionPairLaw
 from liberlab.liberation import istar
-from liberlab.loggas import pair_energy, pair_force, site_energy
+from liberlab.loggas import differences, pair_energy, pair_force, site_energy
 from liberlab.potentials import PsiSpec
 
 from conftest import FIXTURES
 
 UNIFORM = ProjectionPairLaw(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, uniform_density(1.0))
 ORACLE = json.loads((FIXTURES / "loggas_oracle.json").read_text())
+
+
+def _hard_points(rng, n):
+    """Unsorted, both signs, magnitudes 1e-300 to 1, each with its neighbours one ulp away."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 0.0, n)
+    x = np.concatenate((x, [1e-300, -1.0]))
+    x = np.concatenate((x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)))
+    return rng.permutation(x)
+
+
+@pytest.mark.parametrize("rows, cols", [(126, 126), (126, 31), (1, 77), (0, 12), (12, 0), (0, 0)])
+def test_differences_is_the_outer_subtraction_bit_for_bit(rng, rows, cols):
+    x = _hard_points(rng, 40)
+    assert x.size == 126
+    a, b = x[:rows], rng.permutation(x)[:cols]
+    expected = np.subtract.outer(a, b)
+    got = differences(a, b)
+    assert got.shape == expected.shape
+    # coincident points may differ in the sign of their zero, nowhere else
+    assert np.array_equal(got == 0.0, expected == 0.0)
+    nonzero = expected != 0.0
+    assert np.array_equal(got[nonzero], expected[nonzero])
+    # 1e-300 and its neighbours have subnormal differences, exact too
+    if rows == cols == x.size:
+        assert np.any(np.abs(expected[nonzero]) < np.finfo(float).tiny)
+    out = np.empty((rows, cols))
+    assert differences(a, b, out=out) is out
+    assert np.array_equal(out[nonzero], expected[nonzero])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 96])
