@@ -63,7 +63,6 @@ _EXPORTS = {
     "equilibrium_objective": "entropy",
     "tau_of_potential": "entropy",
     "relative_sigma_h": "entropy",
-    "log_energy": "entropy",
     # fisher
     "GridFunction": "fisher",
     "FisherReport": "fisher",

@@ -369,6 +369,7 @@ def _cmd_istar(config: RunConfig) -> None:
             "dt_min": report.dt_min,
             "dt_max": report.dt_max,
             "min_gap": report.min_gap,
+            "energy_gap": report.energy_gap,
         },
         config,
     )

@@ -1,12 +1,14 @@
 """Densities on (0,1) and the quadrature identities built on them.
 
 A DensitySpec describes the absolutely continuous part of a law on
-(0,1).  Two families are supported and every operation dispatches on
-them:
+(0,1).  Two families are supported, and _rule is the one place where a
+family picks its quadrature rule: the nodes and weights that every
+integral against the density, the transport and the distribution
+function read (the Chebyshev moments keep the angle rule of their DCT).
 
 * square-root-window densities (kinds "arcsine", "free_pair", "cheb"):
-  f(x) = g(x) / sqrt((x-a)(b-x)) on a window [a,b] with g smooth.  All
-  functionals are computed in the angle variable x = c + e*cos(theta),
+  f(x) = g(x) / sqrt((x-a)(b-x)) on a window [a,b] with g smooth.  The
+  rule is Gauss-Chebyshev in the angle variable x = c + e*cos(theta),
   where the substitution absorbs the edge singularity and turns the
   logarithmic kernel, the finite Hilbert transform, and the endpoint
   log-moments into short Chebyshev coefficient sums:
@@ -19,8 +21,8 @@ them:
   These are exact for band-limited g, so the free-pair and arcsine
   cases are computed to rounding error rather than quadrature error.
 
-* smooth densities (kinds "uniform", "table"): bounded profiles handled
-  on composite Gauss-Legendre grids graded toward the window ends.  The
+* smooth densities (kinds "uniform", "table"): bounded profiles whose
+  rule is composite Gauss-Legendre, graded toward the window ends.  The
   Hilbert transform uses singularity subtraction with the exact
   principal value of the constant term, and the log-kernel energy goes
   through the same Chebyshev moment series as above (moments taken by
@@ -289,10 +291,11 @@ def _window_g(d: DensitySpec, m: int) -> np.ndarray:
     return _g_callable(d)(x_theta)
 
 
-def _smooth_callable(d: DensitySpec) -> Callable[[np.ndarray], np.ndarray]:
+def _smooth_callable(d: DensitySpec, derivative: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """The profile f of a smooth-family density, or its derivative f'."""
     a, b, _, _ = _window(d)
     if d.kind == "uniform":
-        h = d.mass / (b - a)
+        h = 0.0 if derivative else d.mass / (b - a)
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -300,10 +303,16 @@ def _smooth_callable(d: DensitySpec) -> Callable[[np.ndarray], np.ndarray]:
 
         return f
     if d.kind == "table":
-        interp = d._pchip
         x0, xl = d.nodes[0], d.nodes[-1]
         f0, fl = d.values[0], d.values[-1]
         ea, eb = d.edge_exponents
+        # each tail is c * u**e with u = x/x0 on the left, (1-x)/(1-xl) on the right
+        if derivative:
+            interp = d._pchip.derivative()
+            cl, el, cr, er = f0 * ea / x0, ea - 1.0, -fl * eb / (1.0 - xl), eb - 1.0
+        else:
+            interp = d._pchip
+            cl, el, cr, er = f0, ea, fl, eb
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -312,38 +321,32 @@ def _smooth_callable(d: DensitySpec) -> Callable[[np.ndarray], np.ndarray]:
             out[mid] = interp(x[mid])
             lo = (x > 0.0) & (x < x0)
             if f0 > 0.0:
-                out[lo] = f0 * (x[lo] / x0) ** ea
+                out[lo] = cl * (x[lo] / x0) ** el
             hi = (x > xl) & (x < 1.0)
             if fl > 0.0:
-                out[hi] = fl * ((1.0 - x[hi]) / (1.0 - xl)) ** eb
+                out[hi] = cr * ((1.0 - x[hi]) / (1.0 - xl)) ** er
             return out
 
         return f
     raise ValidationError(f"density kind {d.kind!r} is not a smooth-family kind")
 
 
-def _smooth_derivative(d: DensitySpec) -> Callable[[np.ndarray], np.ndarray]:
-    if d.kind == "uniform":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    interp = d._pchip.derivative()
-    x0, xl = d.nodes[0], d.nodes[-1]
-    f0, fl = d.values[0], d.values[-1]
-    ea, eb = d.edge_exponents
+def _rule(d: DensitySpec, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Increasing nodes x with the weights w_dx of dx and w_dnu of d(nu) = f dx.
 
-    def fp(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        mid = (x >= x0) & (x <= xl)
-        out[mid] = interp(x[mid])
-        lo = (x > 0.0) & (x < x0)
-        if f0 > 0.0:
-            out[lo] = f0 * ea / x0 * (x[lo] / x0) ** (ea - 1.0)
-        hi = (x > xl) & (x < 1.0)
-        if fl > 0.0:
-            out[hi] = -fl * eb / (1.0 - xl) * ((1.0 - x[hi]) / (1.0 - xl)) ** (eb - 1.0)
-        return out
-
-    return fp
+    Square-root windows take the m Gauss-Chebyshev angles, where
+    x = c + e cos(theta) turns f dx into g dtheta: w_dnu = (pi/m) g and
+    w_dx = (pi/m) e sin(theta).  Smooth densities take graded_legendre
+    on their window, with w_dnu = w_dx f.
+    """
+    if d.kind in _SQRT_KINDS:
+        _, _, _, half = _window(d)
+        theta, x_theta = _theta_nodes(d, m)
+        w_dx = np.pi / m * half * np.sin(theta)
+        w_dnu = np.pi / m * _window_g(d, m)
+        return x_theta[::-1].copy(), w_dx[::-1].copy(), w_dnu[::-1].copy()
+    x, w = graded_legendre(m, *d.support)
+    return x, w, w * _smooth_callable(d)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +387,6 @@ def _table_exact_mass(d: DensitySpec) -> float:
     return total
 
 
-def _moment_count(d: DensitySpec, m: int) -> int:
-    if d.kind in _SQRT_KINDS:
-        return m
-    return min(16384, max(4096, 2 * m))
-
-
 def density_moments(d: DensitySpec, m: int) -> np.ndarray:
     """Chebyshev moments c_k = integral of T_k((x-c)/e) d(nu), k < m."""
     if d.kind == "zero":
@@ -413,7 +410,8 @@ def density_log_energy(d: DensitySpec, m: int) -> float:
     if d.kind == "zero" or d.mass == 0.0:
         return 0.0
     _, _, _, half = _window(d)
-    c = density_moments(d, _moment_count(d, m))
+    # a square-root window's moments are exact at m; a smooth profile's take more
+    c = density_moments(d, m if d.kind in _SQRT_KINDS else min(16384, max(4096, 2 * m)))
     k = np.arange(1, c.size)
     return float(d.mass * d.mass * (np.log(half) - _LOG2) - 2.0 * np.sum(c[1:] ** 2 / k))
 
@@ -423,35 +421,27 @@ def density_log_moments(d: DensitySpec, m: int) -> tuple[float, float]:
     if d.kind == "zero" or d.mass == 0.0:
         return 0.0, 0.0
     a, b, _, half = _window(d)
-    if d.kind in _SQRT_KINDS:
-        g = _window_g(d, m)
-        c = moments_from_masses(np.pi / m * g)
+    x, _, w_dnu = _rule(d, m)
+    log_x = float(np.dot(w_dnu, np.log(x)))
+    log_1mx = float(np.dot(w_dnu, np.log1p(-x)))
+    if d.kind in _SQRT_KINDS and (a == 0.0 or b == 1.0):
+        # the log singularity meets a square-root edge: sum its Chebyshev series
+        c = moments_from_masses(w_dnu[::-1])
         k = np.arange(1, c.size)
         base = d.mass * (np.log(half) - _LOG2)
-        theta, x_theta = _theta_nodes(d, m)
         if a == 0.0:
-            log_x = base + 2.0 * np.sum((-1.0) ** (k + 1) * c[1:] / k)
-        else:
-            log_x = float(np.pi / m * np.dot(g, np.log(x_theta)))
+            log_x = float(base + 2.0 * np.sum((-1.0) ** (k + 1) * c[1:] / k))
         if b == 1.0:
-            log_1mx = base - 2.0 * np.sum(c[1:] / k)
-        else:
-            log_1mx = float(np.pi / m * np.dot(g, np.log1p(-x_theta)))
-        return float(log_x), float(log_1mx)
-    x, w = graded_legendre(m, *d.support)
-    fw = _smooth_callable(d)(x) * w
-    return float(np.dot(fw, np.log(x))), float(np.dot(fw, np.log1p(-x)))
+            log_1mx = float(base - 2.0 * np.sum(c[1:] / k))
+    return log_x, log_1mx
 
 
 def density_integrate(d: DensitySpec, fn: Callable[[np.ndarray], np.ndarray], m: int) -> float:
     """Integral of a smooth function against the density."""
     if d.kind == "zero" or d.mass == 0.0:
         return 0.0
-    if d.kind in _SQRT_KINDS:
-        _, x_theta = _theta_nodes(d, m)
-        return float(np.pi / m * np.dot(_window_g(d, m), np.asarray(fn(x_theta), dtype=float)))
-    x, w = graded_legendre(m, *d.support)
-    return float(np.dot(w * _smooth_callable(d)(x), np.asarray(fn(x), dtype=float)))
+    x, _, w_dnu = _rule(d, m)
+    return float(np.dot(w_dnu, np.asarray(fn(x), dtype=float)))
 
 
 def density_weighted_p_norm(d: DensitySpec, p: float, m: int) -> float:
@@ -464,22 +454,14 @@ def density_weighted_p_norm(d: DensitySpec, p: float, m: int) -> float:
     """
     if d.kind == "zero" or d.mass == 0.0:
         return 0.0
-    a, b, _, half = _window(d)
+    a, b, _, _ = _window(d)
     s_left, s_right = d.edge_exponents
     t_left = 1.0 if a == 0.0 else 0.0
     t_right = 1.0 if b == 1.0 else 0.0
     if p * s_left + t_left <= -1.0 or p * s_right + t_right <= -1.0:
         return float("inf")
-    if d.kind in _SQRT_KINDS:
-        theta, x_theta = _theta_nodes(d, m)
-        g = _window_g(d, m)
-        integrand = (
-            np.abs(g) ** p * (half * np.sin(theta)) ** (1.0 - p) * x_theta * (1.0 - x_theta)
-        )
-        return float((np.pi / m * np.sum(integrand)) ** (1.0 / p))
-    x, w = graded_legendre(m, *d.support)
-    f = _smooth_callable(d)(x)
-    return float(np.dot(w, np.abs(f) ** p * x * (1.0 - x)) ** (1.0 / p))
+    x, w_dx, w_dnu = _rule(d, m)
+    return float(np.dot(w_dx, np.abs(w_dnu / w_dx) ** p * x * (1.0 - x)) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -535,26 +517,19 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
         empty = np.zeros(0)
         return TransportData(empty, empty, empty, empty)
     a, b, _, half = _window(d)
+    x, w_dx, w_dnu = _rule(d, m)
     if d.kind in _SQRT_KINDS:
-        theta, x_theta = _theta_nodes(d, m)
-        g = _window_g(d, m)
-        coeffs = coeffs_from_values(g)
-        hf = -(np.pi / half) * sine_series_at_angles(coeffs[1:], m) / np.sin(theta)
-        w_dx = np.pi / m * half * np.sin(theta)
-        w_dnu = np.pi / m * g
-        return TransportData(
-            x_theta[::-1].copy(), w_dx[::-1].copy(), w_dnu[::-1].copy(), hf[::-1].copy()
-        )
-    x, w = graded_legendre(m, *d.support)
+        coeffs = coeffs_from_values(_window_g(d, m))
+        hf = -(np.pi / half) * sine_series_at_angles(coeffs[1:], m) / np.sin(gc_angles(m))
+        return TransportData(x, w_dx, w_dnu, hf[::-1].copy())
     f = _smooth_callable(d)(x)
-    fp = _smooth_derivative(d)(x)
-    hf = f * np.log((x - a) / (b - x)) - w * fp
+    hf = f * np.log((x - a) / (b - x)) - w_dx * _smooth_callable(d, derivative=True)(x)
     if d.kind == "uniform":
         # f is constant on the window, so the sum vanishes identically
-        return TransportData(x, w, w * f, hf)
+        return TransportData(x, w_dx, w_dnu, hf)
     n = x.size
     rows = max(1, min(n, _BLOCK_ENTRIES // n))
-    wv = np.column_stack((w * f, w))
+    wv = np.column_stack((w_dnu, w_dx))
     acc = np.zeros((n, 2))
     buf = np.empty(rows * n)
     left, right = difference_factors(x, x)
@@ -569,7 +544,7 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
         # R_ji = -R_ij gives the rows below the strip their columns in it
         acc[stop:] -= r[:, stop - start :].T @ wv[start:stop]
     hf += acc[:, 0] - f * acc[:, 1]
-    return TransportData(x, w, w * f, hf)
+    return TransportData(x, w_dx, w_dnu, hf)
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +553,7 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
 
 def _cdf_table(d: DensitySpec) -> tuple[np.ndarray, np.ndarray]:
     """Interior nodes with midpoint-cumulative masses, in increasing x."""
-    if d.kind in _SQRT_KINDS:
-        _, x_theta = _theta_nodes(d, _CDF_NODES)
-        masses = np.pi / _CDF_NODES * _window_g(d, _CDF_NODES)
-        x = x_theta[::-1]
-        mass = masses[::-1]
-    else:
-        x, w = graded_legendre(_CDF_NODES, *d.support)
-        mass = w * _smooth_callable(d)(x)
+    x, _, mass = _rule(d, _CDF_NODES)
     cum = np.cumsum(mass)
     return x, cum - 0.5 * mass
 

@@ -41,7 +41,6 @@ __all__ = [
     "EquilibriumResult",
     "b_function",
     "constant_C",
-    "log_energy",
     "chi_proj",
     "rate_function",
     "equilibrium_objective",
@@ -93,11 +92,6 @@ def _constant_from_traces(alpha: float, beta: float) -> tuple[float, float]:
 def constant_C(law: ProjectionPairLaw) -> tuple[float, float]:
     """(rho, C) of a law: rho = min(alpha,beta,1-alpha,1-beta), C = rho^2 B(.,.)."""
     return _constant_from_traces(law.alpha, law.beta)
-
-
-def log_energy(density: DensitySpec, grid: int = DEFAULT_GRID) -> float:
-    """Logarithmic energy Sigma = double integral of log|x-y| against the density."""
-    return density_log_energy(density, grid)
 
 
 @dataclass(frozen=True)

@@ -91,13 +91,16 @@ class LsiReport:
     and equilibrium_flatness are the converged flag, active-set rounds and
     final flatness of the h-tilted equilibrium solve behind sigma_h (None
     when it did not run).  vacuous flags laws whose entropy is -inf, for which
-    the plain inequality carries no content.
+    the plain inequality carries no content.  nodes is the number of
+    quadrature nodes the drift was evaluated on, which can exceed the
+    requested grid (0 when phi_star is +inf).
     """
 
     chi: float
     phi_star: float
     margin: float
     vacuous: bool
+    nodes: int = 0
     sigma_h: float | None = None
     phi_h: float | None = None
     c1: float | None = None
@@ -231,8 +234,9 @@ def check_lsi(
         margin = fr.phi_star + ent.chi
     else:
         margin = math.inf
+    nodes = int(fr.phi.nodes.size)
     if h is None:
-        return LsiReport(ent.chi, fr.phi_star, margin, vacuous)
+        return LsiReport(ent.chi, fr.phi_star, margin, vacuous, nodes)
     sigma_h, eq = _relative_sigma(law, h, ent.chi, grid)
     _, phi_h = _drifted_norm(law, td, h.dvalue)
     norm_h = h.sup_norm("h")
@@ -250,6 +254,7 @@ def check_lsi(
         fr.phi_star,
         margin,
         vacuous,
+        nodes,
         sigma_h=sigma_h,
         phi_h=phi_h,
         c1=c1,

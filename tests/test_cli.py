@@ -55,6 +55,16 @@ def test_fisher_and_lsi_agree_with_chi(capsys):
     )
 
 
+@pytest.mark.parametrize(("law", "grid", "nodes"), [(UNIFORM, "100", 192), (FREE_HALF, "100", 100)])
+def test_fisher_and_lsi_report_the_nodes_they_ran(capsys, law, grid, nodes):
+    for command in ("fisher", "lsi"):
+        code, out, _ = run(capsys, command, "--law", law, "--grid", grid)
+        assert code == 0
+        report = json.loads(out)
+        assert report["nodes"] == nodes
+        assert report["config"]["grid"] == int(grid)
+
+
 def test_missing_law_is_a_usage_error(capsys):
     code, _, err = run(capsys, "chi")
     assert code == 1
@@ -324,3 +334,16 @@ def test_istar_reports_how_the_flow_ran(capsys):
     assert report["min_gap"] == rep.min_gap
     assert 0.0 < report["min_gap"] <= np.diff(rep.state.particles).min()
     assert report["floored"] is False
+
+
+def test_istar_reports_the_energy_gap(capsys):
+    from liberlab.laws import load_law
+    from liberlab.liberation import istar
+
+    code, out, _ = run(capsys, "istar", "--law", UNIFORM, "--particles", "16", "--tmax", "0.05")
+    assert code == 0
+    report = json.loads(out)
+    rep = istar(load_law(UNIFORM), 16, 0.05)
+    history = rep.state.history
+    gap = history[-1].half_integral - (history[-1].chi_hat - history[0].chi_hat)
+    assert report["energy_gap"] == rep.energy_gap == gap

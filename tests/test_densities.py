@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from liberlab import densities
 from liberlab.densities import (
-    _smooth_derivative,
+    _smooth_callable,
     arcsine_density,
     cheb_density,
     density_cdf,
@@ -93,6 +93,9 @@ def test_log_energy_worked_values():
     assert density_log_energy(arcsine_density(1.0), M) == pytest.approx(
         -np.log(4.0), abs=1e-12
     )
+    assert density_log_energy(free_pair_density(0.5, 0.5), M) == pytest.approx(
+        -np.log(4.0), abs=1e-12
+    )
 
 
 def test_log_energy_affine_scaling():
@@ -130,7 +133,7 @@ def dense_transform(d, x, w):
     """Singularity-subtracted Hilbert transform as one dense sum per row."""
     a, b = d.support
     f = density_values(d, x)
-    hf = f * np.log((x - a) / (b - x)) - w * _smooth_derivative(d)(x)
+    hf = f * np.log((x - a) / (b - x)) - w * _smooth_callable(d, derivative=True)(x)
     for i in range(x.size):
         diff = x[i] - x
         quot = np.zeros_like(diff)
@@ -182,6 +185,48 @@ def test_smooth_transport_memory_is_blocked():
         tracemalloc.stop()
     assert td.x.size > 4096
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("exponents", [(0.5, 2.5), (3.0, -0.3)])
+def test_profile_derivative_matches_central_differences(exponents):
+    nodes = np.linspace(0.1, 0.9, 9)
+    d = table_density(nodes, 1.0 + 0.5 * np.sin(3.0 * nodes), exponents)
+    f = _smooth_callable(d)
+    fp = _smooth_callable(d, derivative=True)
+    # both power tails, and table points halfway between breakpoints
+    x = np.array([0.01, 0.05, 0.08, 0.15, 0.45, 0.75, 0.92, 0.95, 0.99])
+    h = 1e-6
+    central = (f(x + h) - f(x - h)) / (2.0 * h)
+    np.testing.assert_allclose(fp(x), central, rtol=1e-7, atol=0.0)
+
+
+def _one_of_each_kind():
+    m = 100
+    theta = (2 * np.arange(m) + 1) * np.pi / (2 * m)
+    x = 0.5 * (1.0 + np.cos(theta))[::-1]
+    return {
+        "arcsine": arcsine_density(0.8, (0.1, 0.9)),
+        "free_pair": free_pair_density(0.3, 0.6),
+        "cheb": cheb_density((8.0 / np.pi) * x * (1.0 - x)),
+        "uniform": uniform_density(0.5, (0.2, 0.7)),
+        "table": random_generic_law(np.random.default_rng(11)).density,
+    }
+
+
+@pytest.mark.parametrize("m", [100, 1024])
+@pytest.mark.parametrize("kind", ["arcsine", "free_pair", "cheb", "uniform", "table"])
+def test_every_functional_reads_the_one_rule(kind, m):
+    d = _one_of_each_kind()[kind]
+    td = density_transport(d, m)
+    x, w_dx, w_dnu = densities._rule(d, m)
+    np.testing.assert_array_equal(x, td.x)
+    np.testing.assert_array_equal(w_dx, td.w_dx)
+    np.testing.assert_array_equal(w_dnu, td.w_dnu)
+
+    def fn(t):
+        return np.exp(t) * np.cos(3.0 * t)
+
+    assert density_integrate(d, fn, m) == float(np.dot(td.w_dnu, fn(td.x)))
 
 
 def test_cdf_quantile_round_trip():

@@ -20,7 +20,6 @@ from liberlab.entropy import (
     equilibrium_field,
     equilibrium_objective,
     equilibrium_solve,
-    log_energy,
     rate_function,
     relative_sigma_h,
     tau_of_potential,
@@ -82,12 +81,6 @@ def test_chi_purely_atomic_generic_law():
     law = free_pair_law(0.0, 0.4)
     rep = chi_proj(law, M)
     assert np.isfinite(rep.chi)
-
-
-def test_log_energy_worked_values():
-    assert log_energy(uniform_density(1.0), M) == pytest.approx(-1.5, abs=1e-9)
-    arcsine_like = free_pair_density(0.5, 0.5)
-    assert log_energy(arcsine_like, M) == pytest.approx(-np.log(4.0), abs=1e-12)
 
 
 def test_equilibrium_recovers_free_density():

@@ -172,6 +172,20 @@ def test_check_lsi_builds_one_interpolant_per_table_law(monkeypatch, h):
     assert len(builds) <= 1
 
 
+@pytest.mark.parametrize("grid", [1, 100, 192])
+def test_check_lsi_reports_the_nodes_of_the_graded_rule(grid):
+    # the graded Gauss-Legendre rule has 192 nodes for every grid up to 192
+    law = random_generic_law(np.random.default_rng(11))
+    assert check_lsi(law, grid=grid).nodes == 192
+
+
+def test_check_lsi_reports_the_nodes_it_ran():
+    assert check_lsi(free_pair_law(0.3, 0.6), grid=100).nodes == 100
+    law = ProjectionPairLaw(0.5, 0.5, 0.25, 0.0, 0.0, 0.25, uniform_density(0.5))
+    rep = check_lsi(law, grid=100)
+    assert rep.phi_star == np.inf and rep.nodes == 0
+
+
 def test_check_lsi_vacuous_on_non_generic():
     law = ProjectionPairLaw(0.5, 0.5, 0.25, 0.0, 0.0, 0.25, uniform_density(0.5))
     rep = check_lsi(law, grid=M)
