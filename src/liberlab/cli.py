@@ -160,6 +160,7 @@ def _cmd_chi(config: RunConfig) -> None:
         {
             "chi": report.chi,
             "sigma": report.sigma,
+            "moments": report.moments,
             "log_moment_at_0": report.log_moment_0,
             "log_moment_at_1": report.log_moment_1,
             "rho": report.rho,
@@ -338,6 +339,7 @@ def _cmd_equilibrium(config: RunConfig) -> None:
             "converged": result.converged,
             "flatness": result.flatness,
             "iterations": result.iterations,
+            "solve_iterations": result.solve_iterations,
             "rho": result.rho,
             "mass": result.density.mass,
             "support": result.support,

@@ -64,6 +64,7 @@ __all__ = [
     "density_values",
     "density_moments",
     "density_log_energy",
+    "log_energy_moments",
     "density_log_moments",
     "density_integrate",
     "density_weighted_p_norm",
@@ -405,13 +406,23 @@ def density_moments(d: DensitySpec, m: int) -> np.ndarray:
     return moments_from_masses(masses)
 
 
+def log_energy_moments(d: DensitySpec, m: int) -> int:
+    """How many Chebyshev moments density_log_energy sums for d at resolution m.
+
+    A square-root window's moments are exact at m; a smooth profile's
+    take min(16384, max(4096, 2m)).  0 when there is no density.
+    """
+    if d.kind == "zero" or d.mass == 0.0:
+        return 0
+    return m if d.kind in _SQRT_KINDS else min(16384, max(4096, 2 * m))
+
+
 def density_log_energy(d: DensitySpec, m: int) -> float:
     """The double integral of log|x-y| against the density in both slots."""
     if d.kind == "zero" or d.mass == 0.0:
         return 0.0
     _, _, _, half = _window(d)
-    # a square-root window's moments are exact at m; a smooth profile's take more
-    c = density_moments(d, m if d.kind in _SQRT_KINDS else min(16384, max(4096, 2 * m)))
+    c = density_moments(d, log_energy_moments(d, m))
     k = np.arange(1, c.size)
     return float(d.mass * d.mass * (np.log(half) - _LOG2) - 2.0 * np.sum(c[1:] ** 2 / k))
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import fft
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import xlogy
 
 from .chebyshev import cosine_series_at_angles, gc_angles, moments_from_masses
@@ -29,6 +27,7 @@ from .densities import (
     density_integrate,
     density_log_energy,
     density_log_moments,
+    log_energy_moments,
     zero_density,
 )
 from .errors import ValidationError
@@ -55,6 +54,8 @@ _TOL = 1e-6  # flatness of the first-order condition
 _EXACT = 1e-12  # flatness at which a level's starting masses need no solve
 _FULL_START_NODES = 64  # the active-set recursion starts from uniform masses here
 _MAX_ROUNDS = 60  # active-set rounds per level
+_PCG_TOL = 1e-15  # relative residual of each round's conjugate-gradient solve
+_PCG_MAX = 500  # conjugate-gradient iterations per round
 
 
 def b_function(s: float, t: float) -> float:
@@ -99,10 +100,13 @@ class EntropyReport:
     """Free entropy of a law together with every intermediate quantity.
 
     chi is -inf exactly when the law is not in generic position or a
-    logarithmic moment diverges; cause records which.
+    logarithmic moment diverges; cause records which.  moments is the
+    number of Chebyshev moments the log energy sigma summed (see
+    densities.log_energy_moments).
     """
 
     sigma: float
+    moments: int
     log_moment_0: float
     log_moment_1: float
     rho: float
@@ -116,10 +120,11 @@ def chi_proj(law: ProjectionPairLaw, grid: int = DEFAULT_GRID) -> EntropyReport:
     """Free entropy of a two-projection law."""
     rho, c_const = constant_C(law)
     sigma = density_log_energy(law.density, grid)
+    moments = log_energy_moments(law.density, grid)
     lm0, lm1 = density_log_moments(law.density, grid)
     if not law.generic:
         return EntropyReport(
-            sigma, lm0, lm1, rho, c_const, float("-inf"), False,
+            sigma, moments, lm0, lm1, rho, c_const, float("-inf"), False,
             "the atom pattern is not in generic position",
         )
     coeff0 = law.coeff_at_0
@@ -129,10 +134,10 @@ def chi_proj(law: ProjectionPairLaw, grid: int = DEFAULT_GRID) -> EntropyReport:
     chi = 0.25 * sigma + term0 + term1 - c_const
     if not np.isfinite(chi):
         return EntropyReport(
-            sigma, lm0, lm1, rho, c_const, float("-inf"), True,
+            sigma, moments, lm0, lm1, rho, c_const, float("-inf"), True,
             "a logarithmic moment of the density diverges",
         )
-    return EntropyReport(sigma, lm0, lm1, rho, c_const, float(chi), True)
+    return EntropyReport(sigma, moments, lm0, lm1, rho, c_const, float(chi), True)
 
 
 def rate_function(
@@ -173,8 +178,9 @@ class EquilibriumResult:
     of (1/4)Sigma + (1/2)int(tilt)dnu on the solver grid; B_h and
     C_h = C + B_h the derived constants; flatness the final sup
     deviation of the first-order condition on the numerical support;
-    support the smallest and largest node with positive mass (None when
-    rho = 0 and there is no density).
+    iterations and solve_iterations the active-set rounds and their
+    conjugate-gradient iterations; support the smallest and largest node
+    with positive mass (None when rho = 0 and there is no density).
     """
 
     density: DensitySpec
@@ -185,6 +191,7 @@ class EquilibriumResult:
     flatness: float
     converged: bool
     iterations: int
+    solve_iterations: int
     rho: float
     coeff0: float
     coeff1: float
@@ -238,117 +245,106 @@ def _nodes_on_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, 0.5 * (1.0 + np.cos(theta))
 
 
-def _energy_kernel(m: int) -> np.ndarray:
-    """S(p) = sum_{k=1}^{m-1} cos(k p pi / m) / k for p = 0, ..., 2m-1."""
-    a = np.zeros(2 * m)
-    a[1:m] = 1.0 / np.arange(1, m)
-    return fft(a).real
+def _energy_operators(m: int) -> tuple[Callable, Callable]:
+    """-A and its inverse on m nodes, as maps of (..., m) stacks of node masses.
 
-
-def _minus_energy_matrix(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """-A on the nodes rows x cols, for the truncated energy masses @ A @ masses.
-
-    With theta_i - theta_j = (i-j) pi/m and theta_i + theta_j =
-    (i+j+1) pi/m, the energy's cosine series gives the closed form
-    A_ij = -2 log 2 - S(i-j) - S(i+j+1), S = _energy_kernel(m).  The
-    matrix is filled a few rows at a time into one buffer, so the only
-    large allocation is the result itself.
+    A is the matrix of the truncated energy masses @ A @ masses.  The
+    energy's cosine series log|x-y| = -log 2 - 2 sum_k T_k(x)T_k(y)/k
+    gives -A = C^T D C with C_ki = cos(k theta_i) and D = diag(2 log 2,
+    2/1, ..., 2/(m-1)), and C C^T = diag(m, m/2, ..., m/2) =: N gives
+    (-A)^{-1} = C^T N^{-1} D^{-1} N^{-1} C.  C x are the Chebyshev
+    moments of x, so each map is one DCT-II and one DCT-III.
     """
-    out = np.empty((rows.size, cols.size))
-    step = max(1, 2**16 // max(cols.size, 1))
-    for lo in range(0, rows.size, step):
-        i = rows[lo : lo + step, None]
-        block = out[lo : lo + step]
-        np.take(s, np.abs(i - cols), out=block, mode="clip")
-        block += s[i + cols + 1]
-        block += 2.0 * _LOG2
-    return out
+    k = np.arange(1, m)
+
+    def cosine_form(d0: float, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        def apply(x: np.ndarray) -> np.ndarray:
+            c = moments_from_masses(x)
+            return d0 * c[..., :1] + cosine_series_at_angles(d * c[..., 1:], m)
+
+        return apply
+
+    inverse_d = 2.0 * k / (m * m)
+    return cosine_form(2.0 * _LOG2, 2.0 / k), cosine_form(0.5 / (_LOG2 * m * m), inverse_d)
 
 
-def _bordered_solve(
-    s: np.ndarray,
-    base: np.ndarray,
-    factor: tuple[np.ndarray, bool],
-    base_solution: np.ndarray,
-    rhs: np.ndarray,
-    active: np.ndarray,
-) -> np.ndarray:
-    """Solve -A x = rhs on the active nodes from the Cholesky factor of -A on base.
+def _pcg(
+    operator: Callable, inverse: Callable, rhs: np.ndarray, x: np.ndarray, support: np.ndarray
+) -> tuple[np.ndarray, int, bool]:
+    """Conjugate gradients for -A_SS x = rhs, the rows side by side.
 
-    base_solution is the factor's solve of rhs[base].  The active set is
-    base without the dropped nodes D plus the joined nodes J.  Each
-    joined node is an extra unknown with its -A column, and each dropped
-    node an equality constraint x_d = 0 with a multiplier, so the
-    bordered system costs |D|+|J| solves against the factor and one
-    dense solve of its (|D|+|J|)-square Schur complement.
+    rhs and the start x are (rows, m) stacks that vanish off the support
+    S, where the 0/1 mask support is 0.  operator applies -A and inverse
+    the full-grid (-A)^{-1}; masked to S, the latter preconditions.
+    Returns the solution, the iterations spent and whether every row's
+    residual fell to _PCG_TOL of its right-hand side within _PCG_MAX
+    iterations.
     """
-    joined = np.setdiff1d(np.flatnonzero(active), base, assume_unique=True)
-    dropped = np.flatnonzero(~active[base])
-    # border = [-A[base, J] | unit columns of D]; the Schur complement
-    # is [-A[J, J], 0; 0, 0] - border^T (-A[base, base])^{-1} border
-    cross = _minus_energy_matrix(s, np.concatenate([base, joined]), joined)
-    border = np.zeros((base.size, joined.size + dropped.size))
-    border[:, : joined.size] = cross[: base.size]
-    border[dropped, joined.size + np.arange(dropped.size)] = 1.0
-    z = cho_solve(factor, border, check_finite=False)
-    schur = -border.T @ z
-    schur[: joined.size, : joined.size] += cross[base.size :]
-    small = -border.T @ base_solution
-    small[: joined.size] += rhs[joined]
-    y = np.linalg.solve(schur, small)
-    full = np.zeros((active.size, rhs.shape[1]))
-    full[base] = base_solution - z @ y
-    full[joined] = y[: joined.size]
-    return full[active]
+    r = rhs - support * operator(x)
+    z = support * inverse(r)
+    p = z
+    rz = np.vecdot(r, z)
+    target = _PCG_TOL**2 * np.vecdot(rhs, rhs)
+    spent = 0
+    while True:
+        live = np.vecdot(r, r) > target
+        if not live.any() or spent == _PCG_MAX:
+            return x, spent, not live.any()
+        spent += 1
+        q = support * operator(p)
+        # a row whose residual is small enough stops moving
+        step = np.divide(rz, np.vecdot(p, q), out=np.zeros_like(rz), where=live)
+        x = x + step[:, None] * p
+        r = r - step[:, None] * q
+        z = support * inverse(r)
+        rz, rz_old = np.vecdot(r, z), rz
+        p = z + np.divide(rz, rz_old, out=np.zeros_like(rz), where=live)[:, None] * p
 
 
 def _active_set(
     tilt: Callable[[np.ndarray], np.ndarray], mass: float, m: int
-) -> tuple[np.ndarray, float, float, bool, int]:
+) -> tuple[np.ndarray, float, float, bool, int, int]:
     """Exact maximizer of the node-mass objective at m nodes.
 
-    Returns masses, objective, flatness, converged and the active-set
-    rounds spent at this level and all coarser ones.
+    Returns masses, objective, flatness, converged, and the active-set
+    rounds and conjugate-gradient iterations spent at this level and all
+    coarser ones.
     """
     _, x_theta = _nodes_on_unit(m)
     w = tilt(x_theta)
-    k = np.arange(1, m)
+    minus_energy, inverse = _energy_operators(m)
 
     def deviation(masses: np.ndarray) -> tuple[np.ndarray, float]:
-        # the first-order check runs on the transform gradient, independent
-        # of the matrix that produced the masses; flatness is its sup on
-        # the support
-        c = moments_from_masses(masses)
-        upot = mass * (-2.0 * _LOG2) - 2.0 * cosine_series_at_angles(c[1:] / k, m)
-        grad = 0.5 * (upot + w)
+        # the first-order gradient afresh from the masses; flatness is its sup on the support
+        grad = 0.5 * (w - minus_energy(masses))
         dev = grad - float(np.dot(masses, grad)) / mass
         return dev, float(np.max(np.abs(dev[active])))
 
     if m <= _FULL_START_NODES:
         masses = np.full(m, mass / m)
-        rounds = 0
+        rounds = iterations = 0
     else:
         coarse_m = m // 4
-        coarse, _, _, _, rounds = _active_set(tilt, mass, coarse_m)
+        coarse, _, _, _, rounds, iterations = _active_set(tilt, mass, coarse_m)
         masses = coarse[(2 * np.arange(m) + 1) * coarse_m // (2 * m)]
         masses *= mass / np.sum(masses)
     active = masses > 0.0
     dev, flat = deviation(masses)
     if flat <= _EXACT and not np.any(~active & (dev > _TOL)):
-        return masses, _objective(masses, w), flat, True, rounds
-    # one factor per level, on the starting support; every round's support
-    # differs from it by a few nodes and is solved by bordering
-    s = _energy_kernel(m)
-    base = np.flatnonzero(active)
-    factor = cho_factor(
-        _minus_energy_matrix(s, base, base).T, overwrite_a=True, check_finite=False
-    )
-    rhs = np.column_stack([w, np.ones(m)])
-    base_solution = cho_solve(factor, rhs[base], check_finite=False)
+        return masses, _objective(masses, w), flat, True, rounds, iterations
+    rhs = np.stack([w, np.ones(m)])
+    # each round's solve starts from the previous round's solution
+    solution = np.zeros((2, m))
     for _ in range(_MAX_ROUNDS):
         rounds += 1
         idx = np.flatnonzero(active)
-        u, v = _bordered_solve(s, base, factor, base_solution, rhs, active).T
+        support = active.astype(float)
+        start = solution * support
+        solution, spent, solved = _pcg(minus_energy, inverse, rhs * support, start, support)
+        iterations += spent
+        if not solved:
+            break
+        u, v = solution[:, idx]
         # -A m = w - level on the support and sum(m) = mass fix the level
         m_sub = u - v * ((np.sum(u) - mass) / np.sum(v))
         negative = m_sub < -1e-15 * mass
@@ -363,9 +359,9 @@ def _active_set(
             break
         joiners = ~active & (dev > _TOL)
         if not np.any(joiners):
-            return masses, _objective(masses, w), flat, True, rounds
+            return masses, _objective(masses, w), flat, True, rounds, iterations
         active |= joiners
-    return masses, _objective(masses, w), flat, False, rounds
+    return masses, _objective(masses, w), flat, False, rounds, iterations
 
 
 def equilibrium_solve(
@@ -384,21 +380,22 @@ def equilibrium_solve(
     loop finds it exactly: each round solves the first-order system
     (equal gradient on the support, total mass fixed) exactly, drops the
     nodes the solve sends negative, and otherwise adds the outside nodes
-    whose gradient exceeds the support level by more than 1e-6.  The
-    closed-form energy matrix is built and Cholesky-factored once per
-    level, on the level's starting support; a round whose support
-    differs from it by the dropped nodes D and the joined nodes J is a
-    bordered solve against that factor (J as extra unknowns, D as
-    constraints m_D = 0), which costs |D|+|J| triangular solves and a
-    dense (|D|+|J|)-square Schur solve.  It stops when the first-order
-    condition, evaluated through the Chebyshev transforms, is flat to
-    1e-6 on the support and no outside node qualifies.  Each level
+    whose gradient exceeds the support level by more than 1e-6.  No
+    matrix is formed: -A = C^T D C is diagonal on the cosine basis (see
+    _energy_operators), so on node masses that vanish off the support S
+    it is two DCTs and a mask.  A round solves -A_SS [u v] = [w_S, 1] by
+    conjugate gradients on both right-hand sides at once, to a relative
+    residual of 1e-15, preconditioned by the exact full-grid inverse
+    restricted to S and started from the previous round's solution; a
+    solve that needs more than 500 iterations ends the level
+    unconverged.  The loop stops when the first-order condition is flat
+    to 1e-6 on the support and no outside node qualifies.  Each level
     starts from the same solve at grid // 4, carried to the nearest
     nodes, and the coarsest (64 nodes or fewer) from uniform masses; a
-    start already flat to 1e-12 with no qualifying outside node is
-    returned without a factorization.
-    iterations counts the rounds over all levels; it is 0 when every
-    start is exact, as for the untilted free pair at (1/2, 1/2).
+    start already flat to 1e-12 with no qualifying outside node needs
+    no solve.  iterations counts the rounds over all levels (0 when
+    every start is exact, as for the untilted free pair at (1/2, 1/2))
+    and solve_iterations their conjugate-gradient iterations.
 
     B_h is evaluated by re-running the entropy functionals on the
     returned density, so that the relative entropy of the maximizer
@@ -417,11 +414,11 @@ def equilibrium_solve(
         law = ProjectionPairLaw(alpha, beta, density=zero_density(), **atoms)
         b_h = chi_proj(law, m).chi - tau_of_potential(law, h, m)
         return EquilibriumResult(
-            law.density, law, 0.0, b_h, c_const + b_h, 0.0, True, 0,
+            law.density, law, 0.0, b_h, c_const + b_h, 0.0, True, 0, 0,
             rho, coeff0, coeff1, alpha, beta, None,
         )
 
-    masses, obj, flat, converged, iterations = _active_set(
+    masses, obj, flat, converged, iterations, solve_iterations = _active_set(
         lambda x: _tilt_values(coeff0, coeff1, h, x), 2.0 * rho, m
     )
     g = (masses * (m / np.pi))[::-1].copy()
@@ -434,8 +431,8 @@ def equilibrium_solve(
     nodes = _nodes_on_unit(m)[1][masses > 0.0]
     return EquilibriumResult(
         density, law, float(obj), float(b_h), float(c_const + b_h),
-        flat, converged, iterations, rho, coeff0, coeff1, alpha, beta,
-        (float(nodes[-1]), float(nodes[0])),
+        flat, converged, iterations, solve_iterations, rho, coeff0, coeff1,
+        alpha, beta, (float(nodes[-1]), float(nodes[0])),
     )
 
 

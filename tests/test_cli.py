@@ -29,6 +29,7 @@ def test_chi_report_on_stdout(capsys):
     report = json.loads(out)
     assert report["chi"] == pytest.approx(-0.375 + np.log(2.0) / 2.0, abs=1e-9)
     assert report["generic"] is True
+    assert report["moments"] == 8192
     assert report["config"]["law"] == UNIFORM
     assert report["config"]["grid"] == 4096
     assert "version" in report
@@ -201,6 +202,23 @@ def test_unconverged_tilted_solve_exits_two_and_writes_nothing(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_capped_tilted_solve_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    import liberlab.entropy as entropy
+
+    monkeypatch.setattr(entropy, "_PCG_MAX", 1)
+    out = tmp_path / "lsi.json"
+    # on the uniform law every round keeps all nodes, where the
+    # preconditioner is exact and one iteration solves; this law's
+    # support shrinks over several rounds
+    code, _, err = run(
+        capsys, "lsi", "--law", str(FIXTURES / "free_asym.json"), "--h", TILT,
+        "--c1", "0.3", "--c2", "0.3", "--grid", "512", "--out", str(out),
+    )
+    assert code == 2
+    assert "did not converge" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_csv_shape(tmp_path, capsys):
     out = tmp_path / "spectra.csv"
     code, stdout, _ = run(
@@ -246,6 +264,15 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert out.read_bytes() == first
     capsys.readouterr()
 
+    eq_out = tmp_path / "eq.json"
+    eq_argv = ["equilibrium", "--law", str(FIXTURES / "free_asym.json"), "--h", TILT,
+               "--grid", "1024", "--out", str(eq_out)]
+    assert cli.main(eq_argv) == 0
+    first = eq_out.read_bytes()
+    assert cli.main(eq_argv) == 0
+    assert eq_out.read_bytes() == first
+    capsys.readouterr()
+
     csv_out = tmp_path / "spectra.csv"
     csv_argv = ["sample", "--N", "2", "--k", "1", "--l", "1",
                 "--trials", "3", "--seed", "5", "--out", str(csv_out)]
@@ -289,9 +316,11 @@ def test_equilibrium_command_reports_the_mass_support(capsys):
     law = str(FIXTURES / "free_asym.json")
     code, out, _ = run(capsys, "equilibrium", "--law", law, "--grid", "1024")
     assert code == 0
-    lo, hi = json.loads(out)["support"]
+    report = json.loads(out)
+    lo, hi = report["support"]
     assert lo == pytest.approx(0.0916, abs=1e-4)
     assert hi == pytest.approx(0.9890, abs=1e-4)
+    assert report["solve_iterations"] >= report["iterations"] > 0
 
 
 def test_istar_command(capsys):

@@ -1,17 +1,17 @@
 """Entropy functional, its constant, the equilibrium solver, and the rate."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import fft
 
 from liberlab import entropy
-from liberlab.chebyshev import cosine_series_at_angles, moments_from_masses
 from liberlab.densities import density_values, free_pair_density, uniform_density
 from liberlab.entropy import (
-    _energy_kernel,
-    _minus_energy_matrix,
+    _energy_operators,
     _nodes_on_unit,
     _tilt_values,
     b_function,
@@ -35,6 +35,26 @@ ORACLE = json.loads(
 )
 UNIFORM = ProjectionPairLaw(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, uniform_density(1.0))
 CHI_UNIFORM = -3.0 / 8.0 + np.log(2.0) / 2.0
+
+
+def _energy_kernel(m):
+    """S(p) = sum_{k=1}^{m-1} cos(k p pi / m) / k for p = 0, ..., 2m-1."""
+    a = np.zeros(2 * m)
+    a[1:m] = 1.0 / np.arange(1, m)
+    return fft(a).real
+
+
+def _minus_energy_matrix(m, rows, cols):
+    """-A on the nodes rows x cols, for the truncated energy masses @ A @ masses.
+
+    With theta_i - theta_j = (i-j) pi/m and theta_i + theta_j =
+    (i+j+1) pi/m, the energy's cosine series gives the closed form
+    A_ij = -2 log 2 - S(i-j) - S(i+j+1), S = _energy_kernel(m): the dense
+    reference for the solver's matrix-free operator.
+    """
+    s = _energy_kernel(m)
+    i = rows[:, None]
+    return 2.0 * np.log(2.0) + s[np.abs(i - cols)] + s[i + cols + 1]
 
 
 def test_b_function_worked_values():
@@ -75,6 +95,17 @@ def test_chi_non_generic_is_minus_infinity():
     assert rep.chi == -np.inf
     assert not rep.generic
     assert rep.cause == "the atom pattern is not in generic position"
+
+
+@pytest.mark.parametrize("grid", [1, 100, 192])
+def test_chi_reports_the_moments_it_summed(grid):
+    """A table law's log energy sums 4096 moments at every grid up to 2048."""
+    law = random_generic_law(np.random.default_rng(11))
+    rep = chi_proj(law, grid)
+    assert rep.moments == 4096
+    assert rep.sigma == chi_proj(law, 2048).sigma
+    assert chi_proj(free_pair_law(0.3, 0.6), grid).moments == grid
+    assert chi_proj(free_pair_law(0.0, 0.4), grid).moments == 0
 
 
 def test_chi_purely_atomic_generic_law():
@@ -139,29 +170,30 @@ def test_equilibrium_matches_the_recorded_oracle(case):
 
 @pytest.mark.parametrize("m", [1, 2, 7, 64, 100, 1024])
 def test_energy_matrix_matches_the_transform_potential(m):
+    """The matrix-free -A and its inverse against the dense closed form."""
+    minus_energy, inverse = _energy_operators(m)
     rng = np.random.default_rng(m)
     masses = rng.random(m)
-    c = moments_from_masses(masses)
-    potential = masses.sum() * (-2.0 * np.log(2.0)) - 2.0 * cosine_series_at_angles(
-        c[1:] / np.arange(1, m), m
-    )
-    s = _energy_kernel(m)
     every = np.arange(m)
-    full = -_minus_energy_matrix(s, every, every) @ masses
-    assert np.max(np.abs(full - potential)) <= 1e-12 * np.max(np.abs(potential))
-    # on a node subset, with the masses outside it set to zero
+    dense = _minus_energy_matrix(m, every, every)
+    want = dense @ masses
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(minus_energy(masses) - want)) <= 1e-12 * scale
+    # on a node subset, with the masses outside it set to zero, and the
+    # rectangular block: the subset's potential on every node
     idx = np.flatnonzero(rng.random(m) < 0.6) if m > 1 else np.arange(1)
     sub = np.zeros(m)
     sub[idx] = masses[idx]
-    c = moments_from_masses(sub)
-    potential = sub.sum() * (-2.0 * np.log(2.0)) - 2.0 * cosine_series_at_angles(
-        c[1:] / np.arange(1, m), m
-    )
-    got = -_minus_energy_matrix(s, idx, idx) @ masses[idx]
-    assert np.max(np.abs(got - potential[idx])) <= 1e-12 * np.max(np.abs(potential))
-    # a rectangular block: the potential of the subset's masses on every node
-    got = -_minus_energy_matrix(s, every, idx) @ masses[idx]
-    assert np.max(np.abs(got - potential)) <= 1e-12 * np.max(np.abs(potential))
+    got = minus_energy(sub)
+    want = _minus_energy_matrix(m, idx, idx) @ masses[idx]
+    assert np.max(np.abs(got[idx] - want)) <= 1e-12 * scale
+    want = _minus_energy_matrix(m, every, idx) @ masses[idx]
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    # a (2, m) stack is two rows, and the preconditioner is the inverse,
+    # up to rounding times the condition number of -A (about 1.4 m)
+    stack = np.stack([masses, sub])
+    assert np.array_equal(minus_energy(stack)[1], got)
+    assert np.max(np.abs(inverse(minus_energy(stack)) - stack)) <= 1e-15 * m
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 63, 65, 100, 257])
@@ -187,22 +219,30 @@ def _levels(m):
     return 1 if m <= 64 else 1 + _levels(m // 4)
 
 
-@pytest.mark.parametrize("m", [64, 256, 1024])
+@pytest.mark.parametrize("m", [64, 256, 1024, 2048])
 @pytest.mark.parametrize("a, b, h", BORDERED_CASES)
-def test_one_factorization_per_level(monkeypatch, m, a, b, h):
-    """Every round after a level's first is a bordered solve on its factor."""
-    factor = entropy.cho_factor
-    sizes = []
-
-    def counting(matrix, *args, **kwargs):
-        sizes.append(matrix.shape[0])
-        return factor(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(entropy, "cho_factor", counting)
-    res = equilibrium_solve(a, b, h, m)
+def test_solve_forms_no_dense_matrix(m, a, b, h):
+    """The rounds' solves stay matrix-free: the solve allocates a few node
+    vectors, where a dense factor on the 1512-node support at 2048 takes 18 MB."""
+    equilibrium_solve(a, b, h, m)
+    tracemalloc.start()
+    try:
+        res = equilibrium_solve(a, b, h, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert res.converged
     assert res.iterations > _levels(m)
-    assert len(sizes) <= _levels(m), sizes
+    assert res.solve_iterations >= res.iterations
+    assert peak <= 4 * 2**20, peak
+
+
+def test_iteration_cap_ends_the_solve_unconverged(monkeypatch):
+    monkeypatch.setattr(entropy, "_PCG_MAX", 1)
+    res = equilibrium_solve(0.3, 0.6, None, 256)
+    assert res.converged is False
+    assert res.solve_iterations >= 1
+    assert np.isfinite(res.B_h)
 
 
 @pytest.mark.parametrize("m", [64, 256, 1024])
@@ -214,7 +254,7 @@ def test_bordered_masses_match_a_fresh_dense_solve(m, a, b, h):
     masses = res.density.values[::-1] * (np.pi / m)
     idx = np.flatnonzero(masses > 0.0)
     w = _tilt_values(res.coeff0, res.coeff1, h or zero_potential(), _nodes_on_unit(m)[1])
-    matrix = _minus_energy_matrix(_energy_kernel(m), idx, idx)
+    matrix = _minus_energy_matrix(m, idx, idx)
     u, v = np.linalg.solve(matrix, np.column_stack([w[idx], np.ones(idx.size)])).T
     want = u - v * ((np.sum(u) - mass) / np.sum(v))
     assert np.max(np.abs(masses[idx] - want)) <= 1e-12 * mass
