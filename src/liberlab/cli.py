@@ -324,15 +324,15 @@ def _cmd_equilibrium(config: RunConfig) -> None:
     law = _load_law(config)
     h = _load_potential(config)
     result = equilibrium_solve(law.alpha, law.beta, h, _grid(config))
-    if result.rho > 0.0:
+    if result.law.rho > 0.0:
         levels = result.density.mass * (np.arange(101) + 0.5) / 101
         quantiles = [float(q) for q in density_quantiles(result.density, levels)]
     else:
         quantiles = []
     _emit_json(
         {
-            "alpha": result.alpha,
-            "beta": result.beta,
+            "alpha": result.law.alpha,
+            "beta": result.law.beta,
             "objective": result.objective,
             "B_h": result.B_h,
             "C_h": result.C_h,
@@ -340,7 +340,7 @@ def _cmd_equilibrium(config: RunConfig) -> None:
             "flatness": result.flatness,
             "iterations": result.iterations,
             "solve_iterations": result.solve_iterations,
-            "rho": result.rho,
+            "rho": result.law.rho,
             "mass": result.density.mass,
             "support": result.support,
             "density_quantiles": quantiles,

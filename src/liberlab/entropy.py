@@ -15,24 +15,26 @@ relative entropy Sigma_h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.fft import dct
 from scipy.special import xlogy
 
-from .chebyshev import cosine_series_at_angles, gc_angles, moments_from_masses
+# moments_from_masses and cosine_series_at_angles stay bound here, where
+# perfbench/tracing.py times them; the energy operators call dct directly.
+from .chebyshev import cosine_series_at_angles, gc_angles, moments_from_masses  # noqa: F401
 from .densities import (
     DensitySpec,
     density_integrate,
     density_log_energy,
     density_log_moments,
     log_energy_moments,
-    zero_density,
 )
 from .errors import ValidationError
 from .grids import DEFAULT_GRID
-from .laws import ProjectionPairLaw, generic_atoms
+from .laws import ProjectionPairLaw, free_pair_law
 from .potentials import PotentialSpec, zero_potential
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "equilibrium_field",
     "tau_of_potential",
     "relative_sigma_h",
+    "relative_sigma_solve",
 ]
 
 _LOG2 = float(np.log(2.0))
@@ -79,20 +82,12 @@ def b_function(s: float, t: float) -> float:
     )
 
 
-def _rho_of(alpha: float, beta: float) -> float:
-    return min(alpha, beta, 1.0 - alpha, 1.0 - beta)
-
-
-def _constant_from_traces(alpha: float, beta: float) -> tuple[float, float]:
-    rho = _rho_of(alpha, beta)
-    if rho <= 0.0:
-        return max(rho, 0.0), 0.0
-    return rho, rho * rho * b_function(abs(alpha - beta) / rho, abs(alpha + beta - 1.0) / rho)
-
-
 def constant_C(law: ProjectionPairLaw) -> tuple[float, float]:
     """(rho, C) of a law: rho = min(alpha,beta,1-alpha,1-beta), C = rho^2 B(.,.)."""
-    return _constant_from_traces(law.alpha, law.beta)
+    alpha, beta, rho = law.alpha, law.beta, law.rho
+    if rho <= 0.0:
+        return 0.0, 0.0
+    return rho, rho * rho * b_function(abs(alpha - beta) / rho, abs(alpha + beta - 1.0) / rho)
 
 
 @dataclass(frozen=True)
@@ -174,13 +169,15 @@ class EquilibriumResult:
     """Outcome of the tilted equilibrium maximization.
 
     density is the maximizing density (window profile on (0,1)); law the
-    generic-position law built around it; objective the achieved value
-    of (1/4)Sigma + (1/2)int(tilt)dnu on the solver grid; B_h and
-    C_h = C + B_h the derived constants; flatness the final sup
-    deviation of the first-order condition on the numerical support;
-    iterations and solve_iterations the active-set rounds and their
-    conjugate-gradient iterations; support the smallest and largest node
-    with positive mass (None when rho = 0 and there is no density).
+    free pair law of the traces with its density replaced by the
+    maximizer, so the traces, rho and the edge coefficients are read
+    from it; objective the achieved value of (1/4)Sigma +
+    (1/2)int(tilt)dnu on the solver grid; B_h and C_h = C + B_h the
+    derived constants; flatness the final sup deviation of the
+    first-order condition on the numerical support; iterations and
+    solve_iterations the active-set rounds and their conjugate-gradient
+    iterations; support the smallest and largest node with positive
+    mass (None when rho = 0 and there is no density).
     """
 
     density: DensitySpec
@@ -192,34 +189,20 @@ class EquilibriumResult:
     converged: bool
     iterations: int
     solve_iterations: int
-    rho: float
-    coeff0: float
-    coeff1: float
-    alpha: float
-    beta: float
     support: tuple[float, float] | None
 
 
-def _tilt_values(
-    coeff0: float, coeff1: float, h: PotentialSpec, x: np.ndarray
-) -> np.ndarray:
+def _tilt_values(law: ProjectionPairLaw, h: PotentialSpec, x: np.ndarray) -> np.ndarray:
     w = np.zeros_like(x)
-    if coeff0 != 0.0:
-        w += coeff0 * np.log(x)
-    if coeff1 != 0.0:
-        w += coeff1 * np.log1p(-x)
+    if law.coeff_at_0 != 0.0:
+        w += law.coeff_at_0 * np.log(x)
+    if law.coeff_at_1 != 0.0:
+        w += law.coeff_at_1 * np.log1p(-x)
     return w - h.value(x)
 
 
-def _truncated_energy(masses: np.ndarray) -> float:
-    c = moments_from_masses(masses)
-    k = np.arange(1, c.size)
-    total = float(np.sum(masses))
-    return total * total * (-2.0 * _LOG2) - 2.0 * float(np.sum(c[1:] ** 2 / k))
-
-
-def _objective(masses: np.ndarray, w: np.ndarray) -> float:
-    return 0.25 * _truncated_energy(masses) + 0.5 * float(np.dot(masses, w))
+def _objective(masses: np.ndarray, w: np.ndarray, minus_energy: Callable) -> float:
+    return -0.25 * float(np.dot(masses, minus_energy(masses))) + 0.5 * float(np.dot(masses, w))
 
 
 def equilibrium_objective(
@@ -231,13 +214,11 @@ def equilibrium_objective(
     angle order (decreasing x); the energy uses the truncated moment
     series, which makes the objective a concave quadratic.
     """
-    h = h or zero_potential()
-    atoms = generic_atoms(alpha, beta)
-    coeff0 = atoms["a01"] + atoms["a10"]
-    coeff1 = atoms["a00"] + atoms["a11"]
+    law = free_pair_law(alpha, beta)
     masses = np.asarray(masses, dtype=float)
     _, x_theta = _nodes_on_unit(masses.size)
-    return _objective(masses, _tilt_values(coeff0, coeff1, h, x_theta))
+    w = _tilt_values(law, h or zero_potential(), x_theta)
+    return _objective(masses, w, _energy_operators(masses.size)[0])
 
 
 def _nodes_on_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,20 +233,16 @@ def _energy_operators(m: int) -> tuple[Callable, Callable]:
     energy's cosine series log|x-y| = -log 2 - 2 sum_k T_k(x)T_k(y)/k
     gives -A = C^T D C with C_ki = cos(k theta_i) and D = diag(2 log 2,
     2/1, ..., 2/(m-1)), and C C^T = diag(m, m/2, ..., m/2) =: N gives
-    (-A)^{-1} = C^T N^{-1} D^{-1} N^{-1} C.  C x are the Chebyshev
-    moments of x, so each map is one DCT-II and one DCT-III.
+    (-A)^{-1} = C^T N^{-1} D^{-1} N^{-1} C.  The unnormalized DCT-II is
+    2C and the DCT-III is C^T with its columns k >= 1 doubled, so each
+    map is x -> dct(dct(x, 2) * e, 3) with one diagonal e:
+    (log 2, 1/(2k)) for -A and (1/(4 m^2 log 2), k/(2 m^2)) for the
+    inverse, k = 1, ..., m-1.
     """
     k = np.arange(1, m)
-
-    def cosine_form(d0: float, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        def apply(x: np.ndarray) -> np.ndarray:
-            c = moments_from_masses(x)
-            return d0 * c[..., :1] + cosine_series_at_angles(d * c[..., 1:], m)
-
-        return apply
-
-    inverse_d = 2.0 * k / (m * m)
-    return cosine_form(2.0 * _LOG2, 2.0 / k), cosine_form(0.5 / (_LOG2 * m * m), inverse_d)
+    e = np.concatenate([[_LOG2], 0.5 / k])
+    e_inverse = np.concatenate([[0.25 / (_LOG2 * m * m)], 0.5 * k / (m * m)])
+    return lambda x: dct(dct(x, 2) * e, 3), lambda x: dct(dct(x, 2) * e_inverse, 3)
 
 
 def _pcg(
@@ -331,7 +308,7 @@ def _active_set(
     active = masses > 0.0
     dev, flat = deviation(masses)
     if flat <= _EXACT and not np.any(~active & (dev > _TOL)):
-        return masses, _objective(masses, w), flat, True, rounds, iterations
+        return masses, _objective(masses, w, minus_energy), flat, True, rounds, iterations
     rhs = np.stack([w, np.ones(m)])
     # each round's solve starts from the previous round's solution
     solution = np.zeros((2, m))
@@ -359,9 +336,9 @@ def _active_set(
             break
         joiners = ~active & (dev > _TOL)
         if not np.any(joiners):
-            return masses, _objective(masses, w), flat, True, rounds, iterations
+            return masses, _objective(masses, w, minus_energy), flat, True, rounds, iterations
         active |= joiners
-    return masses, _objective(masses, w), flat, False, rounds, iterations
+    return masses, _objective(masses, w, minus_energy), flat, False, rounds, iterations
 
 
 def equilibrium_solve(
@@ -383,11 +360,12 @@ def equilibrium_solve(
     whose gradient exceeds the support level by more than 1e-6.  No
     matrix is formed: -A = C^T D C is diagonal on the cosine basis (see
     _energy_operators), so on node masses that vanish off the support S
-    it is two DCTs and a mask.  A round solves -A_SS [u v] = [w_S, 1] by
-    conjugate gradients on both right-hand sides at once, to a relative
-    residual of 1e-15, preconditioned by the exact full-grid inverse
-    restricted to S and started from the previous round's solution; a
-    solve that needs more than 500 iterations ends the level
+    it is a DCT-II, a diagonal, a DCT-III and a mask.  A round solves
+    -A_SS [u v] = [w_S, 1] by conjugate gradients on both right-hand
+    sides at once, to a relative residual of 1e-15, preconditioned by
+    the exact full-grid inverse (the same DCT pair with another
+    diagonal) restricted to S and started from the previous round's
+    solution; a solve that needs more than 500 iterations ends the level
     unconverged.  The loop stops when the first-order condition is flat
     to 1e-6 on the support and no outside node qualifies.  Each level
     starts from the same solve at grid // 4, carried to the nearest
@@ -397,42 +375,38 @@ def equilibrium_solve(
     every start is exact, as for the untilted free pair at (1/2, 1/2))
     and solve_iterations their conjugate-gradient iterations.
 
-    B_h is evaluated by re-running the entropy functionals on the
-    returned density, so that the relative entropy of the maximizer
-    itself is zero by construction rather than up to quadrature error.
+    The traces, their generic-position atoms, rho, C and the edge
+    coefficients all come from free_pair_law(alpha, beta), which also
+    validates the traces; the returned law is that law with its density
+    replaced by the maximizer.  B_h is evaluated by re-running the
+    entropy functionals on the returned law, so that the relative
+    entropy of the maximizer itself is zero by construction rather than
+    up to quadrature error.
     """
+    free = free_pair_law(alpha, beta)
     h = h or zero_potential()
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValidationError("traces must lie in [0,1]")
     m = grid
-    atoms = generic_atoms(alpha, beta)
-    rho = _rho_of(alpha, beta)
-    coeff0 = atoms["a01"] + atoms["a10"]
-    coeff1 = atoms["a00"] + atoms["a11"]
-    _, c_const = _constant_from_traces(alpha, beta)
-    if rho <= 0.0:
-        law = ProjectionPairLaw(alpha, beta, density=zero_density(), **atoms)
-        b_h = chi_proj(law, m).chi - tau_of_potential(law, h, m)
+    _, c_const = constant_C(free)
+    if free.rho <= 0.0:
+        b_h = chi_proj(free, m).chi - tau_of_potential(free, h, m)
         return EquilibriumResult(
-            law.density, law, 0.0, b_h, c_const + b_h, 0.0, True, 0, 0,
-            rho, coeff0, coeff1, alpha, beta, None,
+            free.density, free, 0.0, b_h, c_const + b_h, 0.0, True, 0, 0, None
         )
 
     masses, obj, flat, converged, iterations, solve_iterations = _active_set(
-        lambda x: _tilt_values(coeff0, coeff1, h, x), 2.0 * rho, m
+        lambda x: _tilt_values(free, h, x), 2.0 * free.rho, m
     )
     g = (masses * (m / np.pi))[::-1].copy()
-    left = 0.5 if coeff0 > 0.0 else -0.5
-    right = 0.5 if coeff1 > 0.0 else -0.5
+    left = 0.5 if free.coeff_at_0 > 0.0 else -0.5
+    right = 0.5 if free.coeff_at_1 > 0.0 else -0.5
     density = DensitySpec("cheb", float(np.sum(masses)), (0.0, 1.0), (left, right), values=g)
-    law = ProjectionPairLaw(alpha, beta, density=density, **atoms)
+    law = replace(free, density=density)
     b_h = chi_proj(law, m).chi - tau_of_potential(law, h, m)
     # nodes run in decreasing x
     nodes = _nodes_on_unit(m)[1][masses > 0.0]
     return EquilibriumResult(
         density, law, float(obj), float(b_h), float(c_const + b_h),
-        flat, converged, iterations, solve_iterations, rho, coeff0, coeff1,
-        alpha, beta, (float(nodes[-1]), float(nodes[0])),
+        flat, converged, iterations, solve_iterations, (float(nodes[-1]), float(nodes[0])),
     )
 
 
@@ -445,12 +419,12 @@ def equilibrium_field(
     every other probability measure has nonnegative rate.
     """
     h = h or zero_potential()
-    if result.rho <= 0.0:
+    law = result.law
+    if law.rho <= 0.0:
         raise ValidationError("the rate field is undefined for rho = 0")
-    coeff0, coeff1, rho = result.coeff0, result.coeff1, result.rho
 
     def field(x: np.ndarray) -> np.ndarray:
-        return -_tilt_values(coeff0, coeff1, h, np.asarray(x, dtype=float)) / rho
+        return -_tilt_values(law, h, np.asarray(x, dtype=float)) / law.rho
 
     return field, result.objective
 
@@ -473,10 +447,10 @@ def relative_sigma_h(
 ) -> float:
     """Relative free entropy -chi + tau(h) + B_h; nonnegative, zero at the maximizer."""
     h = h or zero_potential()
-    return _relative_sigma(law, h, chi_proj(law, grid).chi, grid)[0]
+    return relative_sigma_solve(law, h, chi_proj(law, grid).chi, grid)[0]
 
 
-def _relative_sigma(
+def relative_sigma_solve(
     law: ProjectionPairLaw, h: PotentialSpec, chi: float, grid: int
 ) -> tuple[float, EquilibriumResult | None]:
     """sigma_h of a law with known entropy chi, and the h-tilted

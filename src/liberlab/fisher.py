@@ -21,8 +21,8 @@ import numpy as np
 
 from .densities import DensitySpec, TransportData, density_transport
 # relative_sigma_h stays importable from here, where perfbench/tracing.py
-# times it; check_lsi reuses its own chi through _relative_sigma instead.
-from .entropy import _relative_sigma, chi_proj, relative_sigma_h  # noqa: F401
+# times it; check_lsi reuses its own chi through relative_sigma_solve instead.
+from .entropy import chi_proj, relative_sigma_h, relative_sigma_solve  # noqa: F401
 from .errors import ValidationError
 from .grids import DEFAULT_GRID
 from .laws import ProjectionPairLaw, check_integrability, weighted_norm
@@ -237,7 +237,7 @@ def check_lsi(
     nodes = int(fr.phi.nodes.size)
     if h is None:
         return LsiReport(ent.chi, fr.phi_star, margin, vacuous, nodes)
-    sigma_h, eq = _relative_sigma(law, h, ent.chi, grid)
+    sigma_h, eq = relative_sigma_solve(law, h, ent.chi, grid)
     _, phi_h = _drifted_norm(law, td, h.dvalue)
     norm_h = h.sup_norm("h")
     norm_dh = h.sup_norm("dh")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .densities import density_quantiles
-from .entropy import _constant_from_traces, chi_proj
+from .entropy import chi_proj, constant_C
 from .errors import NumericalError, ValidationError
 from .grids import DEFAULT_GRID
 from .laws import ProjectionPairLaw
@@ -60,10 +60,11 @@ class FlowRecord:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Particle quantiles of the flowing density plus the fixed atoms.
+    """Particle quantiles of the flowing density plus the starting law.
 
     particles are strictly increasing points in (0,1), each carrying
-    mass / n; atoms holds (a11, a10, a01, a00), constant in time.
+    law.mass / n; law is the law the flow started from, and its traces,
+    atoms, rho, C and edge coefficients stay constant in time.
     chi_offset converts the biased discrete energy estimate into an
     absolute entropy: chi_estimate = chi_hat + chi_offset, pinned so the
     estimate at t = 0 equals the quadrature entropy of the initial law.
@@ -73,23 +74,12 @@ class FlowState:
     """
 
     particles: np.ndarray
-    atoms: tuple[float, float, float, float]
-    mass: float
+    law: ProjectionPairLaw
     t: float
     history: tuple[FlowRecord, ...]
     chi_offset: float
-    alpha: float
-    beta: float
     rejected_steps: int = 0
     min_gap: float = math.inf
-
-    @property
-    def coeff_at_0(self) -> float:
-        return self.atoms[1] + self.atoms[2]
-
-    @property
-    def coeff_at_1(self) -> float:
-        return self.atoms[3] + self.atoms[0]
 
 
 _DT0, _DT_MIN, _DT_MAX = 1e-3, 1e-12, 0.02  # first step, collapse floor, cap
@@ -97,9 +87,10 @@ _DT0, _DT_MIN, _DT_MAX = 1e-3, 1e-12, 0.02  # first step, collapse floor, cap
 
 def _velocity(state: FlowState, x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """Transport velocity at positions x; h is (mass/n) pair_force(x) if known."""
+    law = state.law
     if h is None:
-        h = (state.mass / x.size) * pair_force(x)
-    return x * (1.0 - x) * h + state.coeff_at_0 * (1.0 - x) - state.coeff_at_1 * x
+        h = (law.mass / x.size) * pair_force(x)
+    return x * (1.0 - x) * h + law.coeff_at_0 * (1.0 - x) - law.coeff_at_1 * x
 
 
 def particle_velocity(state: FlowState) -> np.ndarray:
@@ -115,25 +106,27 @@ def _chi_hat(state: FlowState, x: np.ndarray) -> float:
     flow to cancel in differences; chi_offset repairs the absolute
     level.
     """
-    w = state.mass / x.size
+    law = state.law
+    w = law.mass / x.size
     sigma = w * w * 2.0 * pair_energy(x)
     log0 = w * float(np.sum(np.log(x)))
     log1 = w * float(np.sum(np.log1p(-x)))
-    _, c_const = _constant_from_traces(state.alpha, state.beta)
+    _, c_const = constant_C(law)
     return (
         0.25 * sigma
-        + 0.5 * state.coeff_at_0 * log0
-        + 0.5 * state.coeff_at_1 * log1
+        + 0.5 * law.coeff_at_0 * log0
+        + 0.5 * law.coeff_at_1 * log1
         - c_const
     )
 
 
 def _phi_hat(state: FlowState, x: np.ndarray, h: np.ndarray | None = None) -> float:
     """Particle estimate of the Fisher integral phi^2 x(1-x) dnu; h as in _velocity."""
+    law = state.law
     if h is None:
-        h = (state.mass / x.size) * pair_force(x)
-    phi = h + state.coeff_at_0 / x - state.coeff_at_1 / (1.0 - x)
-    return (state.mass / x.size) * float(np.sum(phi**2 * x * (1.0 - x)))
+        h = (law.mass / x.size) * pair_force(x)
+    phi = h + law.coeff_at_0 / x - law.coeff_at_1 / (1.0 - x)
+    return (law.mass / x.size) * float(np.sum(phi**2 * x * (1.0 - x)))
 
 
 def init_flow(
@@ -151,25 +144,12 @@ def init_flow(
         raise ValidationError("the law has no continuous part to flow")
     if not law.generic:
         raise ValidationError("the atom pattern is not in generic position")
-    mass = law.density.mass
-    levels = mass * (np.arange(n) + 0.5) / n
-    particles = density_quantiles(law.density, levels)
-    atoms = (law.a11, law.a10, law.a01, law.a00)
-    state = FlowState(
-        particles=np.asarray(particles, dtype=float),
-        atoms=atoms,
-        mass=mass,
-        t=0.0,
-        history=(),
-        chi_offset=0.0,
-        alpha=law.alpha,
-        beta=law.beta,
-    )
-    x = state.particles
-    chi0 = chi_proj(law, grid).chi
-    offset = chi0 - _chi_hat(state, x)
-    record = FlowRecord(0.0, _chi_hat(state, x), _phi_hat(state, x), 0.0)
-    return replace(state, chi_offset=offset, history=(record,))
+    levels = law.mass * (np.arange(n) + 0.5) / n
+    particles = np.asarray(density_quantiles(law.density, levels), dtype=float)
+    state = FlowState(particles=particles, law=law, t=0.0, history=(), chi_offset=0.0)
+    chi_hat = _chi_hat(state, particles)
+    record = FlowRecord(0.0, chi_hat, _phi_hat(state, particles), 0.0)
+    return replace(state, chi_offset=chi_proj(law, grid).chi - chi_hat, history=(record,))
 
 
 def _step_ok(x: np.ndarray, proposal: np.ndarray) -> bool:
@@ -228,7 +208,7 @@ def flow_evolve(state: FlowState, t_final: float) -> FlowState:
     history = list(state.history)
     # the pairwise sum at the accepted positions serves both the Fisher
     # estimate of the step that reached them and the next step's k1
-    h = (state.mass / x.size) * pair_force(x)
+    h = (state.law.mass / x.size) * pair_force(x)
     last = history[-1] if history else FlowRecord(t, _chi_hat(state, x), _phi_hat(state, x, h), 0.0)
     if not history:
         history.append(last)
@@ -254,7 +234,7 @@ def flow_evolve(state: FlowState, t_final: float) -> FlowState:
         gap = min(gap, _min_gap(x))
         t += dt
         dt = min(dt * 1.2, _DT_MAX)
-        h = (state.mass / x.size) * pair_force(x)
+        h = (state.law.mass / x.size) * pair_force(x)
         k1 = _velocity(state, x, h)
         chi_hat = _chi_hat(state, x)
         phi_hat = _phi_hat(state, x, h)
@@ -271,8 +251,9 @@ class FlowDiagnostics:
     """Time series extracted from a flow history.
 
     chi is the anchored entropy estimate (chi_hat + chi_offset);
-    dchi_dt holds centered three-point derivatives on the nonuniform
-    time grid, with the endpoints left as one-sided differences.
+    dchi_dt is np.gradient of chi in t: centered three-point derivatives
+    on the nonuniform time grid, with one-sided differences at the ends
+    (0 for a history of one record).
     """
 
     t: np.ndarray
@@ -295,20 +276,8 @@ def flow_diagnostics(state: FlowState) -> FlowDiagnostics:
     chi = np.array([r.chi_hat for r in state.history]) + state.chi_offset
     phi = np.array([r.phi_hat for r in state.history])
     half = np.array([r.half_integral for r in state.history])
-    d = np.empty_like(chi)
-    if t.size == 1:
-        d[:] = 0.0
-    else:
-        d[0] = (chi[1] - chi[0]) / (t[1] - t[0])
-        d[-1] = (chi[-1] - chi[-2]) / (t[-1] - t[-2])
-        if t.size > 2:
-            h1 = t[1:-1] - t[:-2]
-            h2 = t[2:] - t[1:-1]
-            d[1:-1] = (
-                chi[2:] * h1 / (h2 * (h1 + h2))
-                - chi[:-2] * h2 / (h1 * (h1 + h2))
-                + chi[1:-1] * (h2 - h1) / (h1 * h2)
-            )
+    # np.gradient needs two points; a lone record has no rate of change
+    d = np.gradient(chi, t) if t.size > 1 else np.zeros_like(chi)
     target = 0.5 * phi
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(target > 0.0, np.abs(d - target) / target, 0.0)
@@ -403,8 +372,9 @@ def _tail_integral(t: np.ndarray, phi: np.ndarray) -> tuple[float, float, bool, 
     _FISHER_FLOOR times the peak, so that a run which reached its
     rounding floor is not fitted on the flat floor; a non-decaying fit
     or a terminal value still above 1% of the peak marks the result as a
-    lower bound.  Returns (tail, rate, trustworthy, floored), floored
-    telling whether the window stopped at that floor.
+    lower bound, also when fewer than two points are left to fit (a run
+    with no step has one, its peak).  Returns (tail, rate, trustworthy,
+    floored), floored telling whether the window stopped at that floor.
     """
     terminal = phi[-1]
     peak = float(np.max(phi))
@@ -418,12 +388,11 @@ def _tail_integral(t: np.ndarray, phi: np.ndarray) -> tuple[float, float, bool, 
     stop = start + below[0] if floored else phi.size
     ts, ps = t[start:stop], phi[start:stop]
     good = ps > 0.0
+    decayed = terminal <= 0.01 * peak
     if np.count_nonzero(good) < 2:
-        return 0.0, math.inf, True, floored
+        return 0.0, math.inf, decayed, floored
     slope, _ = np.polyfit(ts[good], np.log(ps[good]), 1)
     if slope >= -1e-12:
         return 0.0, 0.0, False, floored
     rate = -slope
-    tail = 0.5 * terminal / rate
-    trustworthy = terminal <= 0.01 * peak
-    return tail, rate, trustworthy, floored
+    return 0.5 * terminal / rate, rate, decayed, floored

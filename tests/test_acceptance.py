@@ -263,7 +263,7 @@ def test_09_equilibrium_recovers_free_pairs():
             values=res.density.values / res.density.mass,
         )
         worst_rate = max(
-            worst_rate, abs(rate_function(unit, F, res.rho, cprime, 2048))
+            worst_rate, abs(rate_function(unit, F, res.law.rho, cprime, 2048))
         )
     detail = (
         f"2 trace pairs: worst L1 gap {worst_l1:.1e} (tol 1e-3), "

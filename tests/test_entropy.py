@@ -203,7 +203,7 @@ def test_equilibrium_converges_at_any_grid(m):
     for a, b, h in [(0.3, 0.6, None), (0.5, 0.5, tilt), (0.42, 0.77, tilt)]:
         res = equilibrium_solve(a, b, h, m)
         assert res.converged, (a, b, m)
-        assert res.density.mass == pytest.approx(2.0 * res.rho, abs=1e-12)
+        assert res.density.mass == pytest.approx(2.0 * res.law.rho, abs=1e-12)
         assert res.flatness <= 1e-6
 
 
@@ -250,10 +250,10 @@ def test_iteration_cap_ends_the_solve_unconverged(monkeypatch):
 def test_bordered_masses_match_a_fresh_dense_solve(m, a, b, h):
     """The returned masses solve the first-order system on their support."""
     res = equilibrium_solve(a, b, h, m)
-    mass = 2.0 * res.rho
+    mass = 2.0 * res.law.rho
     masses = res.density.values[::-1] * (np.pi / m)
     idx = np.flatnonzero(masses > 0.0)
-    w = _tilt_values(res.coeff0, res.coeff1, h or zero_potential(), _nodes_on_unit(m)[1])
+    w = _tilt_values(res.law, h or zero_potential(), _nodes_on_unit(m)[1])
     matrix = _minus_energy_matrix(m, idx, idx)
     u, v = np.linalg.solve(matrix, np.column_stack([w[idx], np.ones(idx.size)])).T
     want = u - v * ((np.sum(u) - mass) / np.sum(v))
@@ -270,6 +270,19 @@ def test_support_is_the_free_pair_support(m):
         assert nodes[i] == got
         assert nodes[i - 1] <= want <= nodes[i + 1], (got, want)
     assert equilibrium_solve(0.0, 0.4, None, m).support is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 257])
+def test_equilibrium_objective_matches_the_dense_quadratic(m):
+    """(1/4) masses @ A @ masses + (1/2) masses @ tilt, A from the closed form."""
+    h = poly_potential((0.0, 0.3, -0.2))
+    masses = np.random.default_rng(m).random(m)
+    every = np.arange(m)
+    energy = -masses @ _minus_energy_matrix(m, every, every) @ masses
+    tilt = masses @ _tilt_values(free_pair_law(0.3, 0.6), h, _nodes_on_unit(m)[1])
+    want = 0.25 * energy + 0.5 * tilt
+    got = equilibrium_objective(0.3, 0.6, h, masses)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_equilibrium_objective_concavity():
@@ -316,10 +329,10 @@ def test_tau_of_potential_linearity():
 def test_rate_function_zero_at_minimizer_positive_away():
     res = equilibrium_solve(0.5, 0.5, None, M)
     F, cprime = equilibrium_field(res)
-    at_min = rate_function(res.density, F, res.rho, cprime, M)
+    at_min = rate_function(res.density, F, res.law.rho, cprime, M)
     assert abs(at_min) <= 1e-6
     shifted = uniform_density(res.density.mass, (0.25, 0.75))
-    away = rate_function(shifted, F, res.rho, cprime, M)
+    away = rate_function(shifted, F, res.law.rho, cprime, M)
     assert away > 1e-3
 
 

@@ -14,6 +14,7 @@ from liberlab.liberation import (
     _chi_hat,
     _phi_hat,
     _step_ok,
+    _tail_integral,
     flow_diagnostics,
     flow_evolve,
     init_flow,
@@ -28,8 +29,7 @@ CHI_UNIFORM = -3.0 / 8.0 + np.log(2.0) / 2.0
 def test_init_places_particles_at_offset_quantiles():
     state = init_flow(UNIFORM, 4)
     assert np.allclose(state.particles, [0.125, 0.375, 0.625, 0.875], atol=1e-12)
-    assert state.mass == 1.0
-    assert state.atoms == (0.0, 0.0, 0.0, 0.0)
+    assert state.law is UNIFORM
     assert len(state.history) == 1
     assert state.history[0].half_integral == 0.0
     diag = flow_diagnostics(state)
@@ -72,7 +72,7 @@ def test_energy_production_identity_by_finite_differences():
 def test_flow_kernels_match_the_pairwise_references(rng):
     state = init_flow(UNIFORM, 96)
     x = np.sort(rng.uniform(0.01, 0.99, 96))
-    w = state.mass / x.size
+    w = state.law.mass / x.size
 
     # atomless law at traces (1/2, 1/2): chi_hat = Sigma/4 - C with C = -log(2)/2
     iu = np.triu_indices(x.size, k=1)
@@ -91,8 +91,7 @@ def test_free_laws_are_stationary():
 def test_flow_conserves_structure():
     state = init_flow(free_pair_law(0.4, 0.7), 48)
     out = flow_evolve(state, 1.0)
-    assert out.atoms == state.atoms
-    assert out.mass == state.mass
+    assert out.law is state.law
     assert out.t == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(out.particles) > 0.0)
     assert out.particles[0] > 0.0 and out.particles[-1] < 1.0
@@ -114,13 +113,10 @@ def test_flow_rejects_a_non_finite_target_time(t_final):
 def test_step_collapse_reports_the_partial_state():
     jammed = FlowState(
         particles=np.array([0.5, 0.5 + 1e-15]),
-        atoms=(0.0, 0.0, 0.0, 0.0),
-        mass=1.0,
+        law=UNIFORM,
         t=0.0,
         history=(),
         chi_offset=0.0,
-        alpha=0.5,
-        beta=0.5,
     )
     with pytest.raises(NumericalError, match="dt_min") as info:
         flow_evolve(jammed, 1.0)
@@ -184,6 +180,15 @@ def test_istar_decay_rate_is_fitted_above_the_rounding_floor():
     assert phi[-1] <= 1e-13 * np.max(phi)
     assert rep.floored
     assert 3.8 <= rep.decay_rate <= 4.2
+
+
+def test_a_run_without_steps_is_a_lower_bound():
+    """A lone record is its own peak, so nothing has decayed yet."""
+    tail, rate, trustworthy, floored = _tail_integral(np.array([0.0]), np.array([2.0]))
+    assert (tail, rate, trustworthy, floored) == (0.0, math.inf, False, False)
+    rep = istar(UNIFORM, 16, 0.0)
+    assert rep.steps == 0
+    assert rep.lower_bound_only
 
 
 def test_istar_of_a_free_law_is_negligible():
