@@ -28,6 +28,7 @@ _EXPORTS = {
     "density_moments": "densities",
     "density_log_moments": "densities",
     "density_log_energy": "densities",
+    "log_energy_moments": "densities",
     "density_weighted_p_norm": "densities",
     "density_transport": "densities",
     "density_cdf": "densities",
@@ -39,7 +40,6 @@ _EXPORTS = {
     "generic_atoms": "laws",
     "load_law": "laws",
     "law_to_dict": "laws",
-    "integrate_against": "laws",
     "weighted_norm": "laws",
     "check_integrability": "laws",
     "IntegrabilityReport": "laws",
@@ -63,6 +63,7 @@ _EXPORTS = {
     "equilibrium_objective": "entropy",
     "tau_of_potential": "entropy",
     "relative_sigma_h": "entropy",
+    "relative_sigma_solve": "entropy",
     # fisher
     "GridFunction": "fisher",
     "FisherReport": "fisher",
@@ -88,17 +89,14 @@ _EXPORTS = {
     "hessian_fd": "grassmann",
     "hs_inner": "grassmann",
     "hs_norm": "grassmann",
-    "normalized_trace": "grassmann",
     "apply_spectral": "grassmann",
     # ensemble
     "EnsembleSpec": "ensemble",
-    "SpectrumSample": "ensemble",
     "McmcResult": "ensemble",
     "MatrixLsiReport": "ensemble",
     "structural_multiplicities": "ensemble",
     "log_density": "ensemble",
     "sample_spectra": "ensemble",
-    "sample_uniform_pair_spectrum": "ensemble",
     "selberg_log_z0": "ensemble",
     "log_z_quadrature": "ensemble",
     "mcmc_tilted_spectrum": "ensemble",

@@ -20,45 +20,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .errors import NumericalError, ValidationError
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _cap_threads() -> None:
-    """Honor LIBERLAB_THREADS before any numeric library spins up a pool."""
-    value = os.environ.get("LIBERLAB_THREADS")
-    if value:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, value)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, embedded in its report."""
-
-    command: str
-    law: str | None = None
-    h: str | None = None
-    psi: str | None = None
-    grid: int | None = None
-    N: int | None = None
-    k: int | None = None
-    l: int | None = None
-    trials: int | None = None
-    seed: int = 0
-    out: str | None = None
-    c1: float | None = None
-    c2: float | None = None
-    particles: int | None = None
-    tmax: float | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,41 +48,41 @@ def _sanitize(value, where: str = "report"):
     return value
 
 
-def _write(text: str, config: RunConfig) -> None:
+def _write(text: str, args: argparse.Namespace) -> None:
     """Print a report, or write it to --out atomically (temp file plus rename)."""
-    if not config.out:
+    if not args.out:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(config.out))
+    directory = os.path.dirname(os.path.abspath(args.out))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp_path, config.out)
+        os.replace(tmp_path, args.out)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-    print(f"wrote {config.out}")
+    print(f"wrote {args.out}")
 
 
-def _emit_json(report: dict, config: RunConfig) -> None:
+def _emit_json(report: dict, args: argparse.Namespace) -> None:
     from . import __version__
 
     payload = dict(report)
-    payload["config"] = asdict(config)
+    payload["config"] = vars(args)
     payload["version"] = __version__
-    _write(json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n", config)
+    _write(json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n", args)
 
 
-def _emit_csv(header: list[str], rows, config: RunConfig) -> None:
+def _emit_csv(header: list[str], rows, args: argparse.Namespace) -> None:
     from . import __version__
 
-    meta = json.dumps(_sanitize(asdict(config)), sort_keys=True)
+    meta = json.dumps(_sanitize(vars(args)), sort_keys=True)
     lines = [f"# liberlab {__version__} {meta}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
-    _write("\n".join(lines) + "\n", config)
+    _write("\n".join(lines) + "\n", args)
 
 
 def _format_cell(cell) -> str:
@@ -129,33 +93,33 @@ def _format_cell(cell) -> str:
     return str(cell)
 
 
-def _load_law(config: RunConfig):
+def _load_law(args: argparse.Namespace):
     from .laws import load_law
 
-    if config.law is None:
+    if args.law is None:
         raise ValidationError("this command needs --law")
-    return load_law(config.law)
+    return load_law(args.law)
 
 
-def _grid(config: RunConfig) -> int:
+def _grid(args: argparse.Namespace) -> int:
     from .grids import DEFAULT_GRID
 
-    return DEFAULT_GRID if config.grid is None else config.grid
+    return DEFAULT_GRID if args.grid is None else args.grid
 
 
-def _load_potential(config: RunConfig):
+def _load_potential(args: argparse.Namespace):
     from .potentials import load_potential, zero_potential
 
-    if config.h is None:
+    if args.h is None:
         return zero_potential()
-    return load_potential(config.h)
+    return load_potential(args.h)
 
 
-def _cmd_chi(config: RunConfig) -> None:
+def _cmd_chi(args: argparse.Namespace) -> None:
     from .entropy import chi_proj
 
-    law = _load_law(config)
-    report = chi_proj(law, _grid(config))
+    law = _load_law(args)
+    report = chi_proj(law, _grid(args))
     _emit_json(
         {
             "chi": report.chi,
@@ -168,15 +132,15 @@ def _cmd_chi(config: RunConfig) -> None:
             "generic": report.generic,
             "cause": report.cause,
         },
-        config,
+        args,
     )
 
 
-def _cmd_fisher(config: RunConfig) -> None:
+def _cmd_fisher(args: argparse.Namespace) -> None:
     from .fisher import phi_star
 
-    law = _load_law(config)
-    report = phi_star(law, _grid(config))
+    law = _load_law(args)
+    report = phi_star(law, _grid(args))
     _emit_json(
         {
             "phi_star": report.phi_star,
@@ -184,69 +148,69 @@ def _cmd_fisher(config: RunConfig) -> None:
             "cause": report.cause,
             "nodes": int(report.phi.nodes.size),
         },
-        config,
+        args,
     )
 
 
-def _cmd_lsi(config: RunConfig) -> None:
+def _cmd_lsi(args: argparse.Namespace) -> None:
     from .fisher import check_lsi
     from .potentials import load_potential
 
-    law = _load_law(config)
-    h = load_potential(config.h) if config.h is not None else None
-    c1 = 1.0 if config.c1 is None else config.c1
-    c2 = 1.0 if config.c2 is None else config.c2
-    report = check_lsi(law, h, c1, c2, _grid(config))
+    law = _load_law(args)
+    h = load_potential(args.h) if args.h is not None else None
+    c1 = 1.0 if args.c1 is None else args.c1
+    c2 = 1.0 if args.c2 is None else args.c2
+    report = check_lsi(law, h, c1, c2, _grid(args))
     if report.equilibrium_converged is False:
         raise NumericalError("the h-tilted equilibrium solve behind sigma_h did not converge")
-    _emit_json(asdict(report), config)
+    _emit_json(asdict(report), args)
 
 
-def _cmd_sample(config: RunConfig) -> None:
+def _cmd_sample(args: argparse.Namespace) -> None:
     from .ensemble import EnsembleSpec, sample_spectra
 
-    if config.N is None or config.k is None or config.l is None:
+    if args.N is None or args.k is None or args.l is None:
         raise ValidationError("sample needs --N, --k, and --l")
-    trials = 1 if config.trials is None else config.trials
-    spec = EnsembleSpec(config.N, config.k, config.l)
-    spectra = sample_spectra(spec, trials, config.seed)
+    trials = 1 if args.trials is None else args.trials
+    spec = EnsembleSpec(args.N, args.k, args.l)
+    spectra = sample_spectra(spec, trials, args.seed)
     rows = [
         (trial, index, float(value))
         for trial, row in enumerate(spectra)
         for index, value in enumerate(row)
     ]
-    _emit_csv(["trial", "eigenvalue_index", "value"], rows, config)
+    _emit_csv(["trial", "eigenvalue_index", "value"], rows, args)
 
 
-def _cmd_lsi_matrix(config: RunConfig) -> None:
+def _cmd_lsi_matrix(args: argparse.Namespace) -> None:
     from .ensemble import EnsembleSpec, lsi_matrix_report
     from .potentials import parse_psi
 
-    if config.N is None or config.k is None or config.l is None:
+    if args.N is None or args.k is None or args.l is None:
         raise ValidationError("lsi-matrix needs --N, --k, and --l")
-    if config.psi is None:
+    if args.psi is None:
         raise ValidationError("lsi-matrix needs --psi (the comparison needs a tilt)")
-    spec = EnsembleSpec(config.N, config.k, config.l, parse_psi(config.psi))
-    report = lsi_matrix_report(spec, config.grid, config.seed)
-    _emit_json(asdict(report), config)
+    spec = EnsembleSpec(args.N, args.k, args.l, parse_psi(args.psi))
+    report = lsi_matrix_report(spec, args.grid, args.seed)
+    _emit_json(asdict(report), args)
 
 
-def _cmd_verify_ricci(config: RunConfig) -> None:
+def _cmd_verify_ricci(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .grassmann import ricci_quadratic_form, tangent_basis
 
-    if config.N is None or config.k is None:
+    if args.N is None or args.k is None:
         raise ValidationError("verify-ricci needs --N and --k")
-    trials = 100 if config.trials is None else config.trials
-    rng = np.random.default_rng(config.seed)
-    basis = tangent_basis(config.N, config.k)
+    trials = 100 if args.trials is None else args.trials
+    rng = np.random.default_rng(args.seed)
+    basis = tangent_basis(args.N, args.k)
     worst = 0.0
     for _ in range(trials):
         coeffs = rng.standard_normal(len(basis))
         x = sum(c * b.X for c, b in zip(coeffs, basis))
-        value = ricci_quadratic_form(config.N, config.k, x)
-        expected = config.N * float(np.linalg.norm(x)) ** 2
+        value = ricci_quadratic_form(args.N, args.k, x)
+        expected = args.N * float(np.linalg.norm(x)) ** 2
         worst = max(worst, abs(value - expected) / expected)
     _emit_json(
         {
@@ -256,28 +220,28 @@ def _cmd_verify_ricci(config: RunConfig) -> None:
             "tolerance": 1e-10,
             "passed": worst <= 1e-10,
         },
-        config,
+        args,
     )
 
 
-def _cmd_verify_gradient(config: RunConfig) -> None:
+def _cmd_verify_gradient(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .grassmann import grad_norm_trace_fn, sample_haar_projection
     from .potentials import parse_psi
 
-    if config.N is None:
-        raise ValidationError("verify-gradient needs --N")
-    psi = parse_psi(config.psi) if config.psi else parse_psi("poly:0,0,1")
-    trials = 20 if config.trials is None else config.trials
-    rng = np.random.default_rng(config.seed)
+    if args.N is None or args.N < 2:
+        raise ValidationError("verify-gradient needs --N of at least 2")
+    psi = parse_psi(args.psi) if args.psi else parse_psi("poly:0,0,1")
+    trials = 20 if args.trials is None else args.trials
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
     for trial in range(trials):
-        k = int(rng.integers(1, config.N))
-        l = int(rng.integers(1, config.N))
-        p = sample_haar_projection(config.N, k, rng)
-        q = sample_haar_projection(config.N, l, rng)
+        k = int(rng.integers(1, args.N))
+        l = int(rng.integers(1, args.N))
+        p = sample_haar_projection(args.N, k, rng)
+        q = sample_haar_projection(args.N, l, rng)
         rep = grad_norm_trace_fn(p, q, psi)
         worst = max(worst, rep.rel_gap)
         rows.append(
@@ -297,33 +261,33 @@ def _cmd_verify_gradient(config: RunConfig) -> None:
             "tolerance": 1e-5,
             "passed": worst <= 1e-5,
         },
-        config,
+        args,
     )
 
 
-def _cmd_liberate(config: RunConfig) -> None:
+def _cmd_liberate(args: argparse.Namespace) -> None:
     from .liberation import flow_diagnostics, flow_evolve, init_flow
 
-    law = _load_law(config)
-    n = 512 if config.particles is None else config.particles
-    t_max = config.tmax if config.tmax is not None else 20.0
-    state = init_flow(law, n, _grid(config))
+    law = _load_law(args)
+    n = 512 if args.particles is None else args.particles
+    t_max = args.tmax if args.tmax is not None else 20.0
+    state = init_flow(law, n, _grid(args))
     state = flow_evolve(state, t_max)
     diag = flow_diagnostics(state)
     columns = (diag.t, diag.chi, diag.phi_star, diag.half_integral)
     rows = zip(*(map(float, col) for col in columns))
-    _emit_csv(["t", "chi", "phi_star", "half_integral"], rows, config)
+    _emit_csv(["t", "chi", "phi_star", "half_integral"], rows, args)
 
 
-def _cmd_equilibrium(config: RunConfig) -> None:
+def _cmd_equilibrium(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .densities import density_quantiles
     from .entropy import equilibrium_solve
 
-    law = _load_law(config)
-    h = _load_potential(config)
-    result = equilibrium_solve(law.alpha, law.beta, h, _grid(config))
+    law = _load_law(args)
+    h = _load_potential(args)
+    result = equilibrium_solve(law.alpha, law.beta, h, _grid(args))
     if result.law.rho > 0.0:
         levels = result.density.mass * (np.arange(101) + 0.5) / 101
         quantiles = [float(q) for q in density_quantiles(result.density, levels)]
@@ -345,17 +309,17 @@ def _cmd_equilibrium(config: RunConfig) -> None:
             "support": result.support,
             "density_quantiles": quantiles,
         },
-        config,
+        args,
     )
 
 
-def _cmd_istar(config: RunConfig) -> None:
+def _cmd_istar(args: argparse.Namespace) -> None:
     from .liberation import istar
 
-    law = _load_law(config)
-    n = 512 if config.particles is None else config.particles
-    t_max = config.tmax if config.tmax is not None else 20.0
-    report = istar(law, n, t_max, _grid(config))
+    law = _load_law(args)
+    n = 512 if args.particles is None else args.particles
+    t_max = args.tmax if args.tmax is not None else 20.0
+    report = istar(law, n, t_max, _grid(args))
     _emit_json(
         {
             "istar": report.value,
@@ -373,7 +337,7 @@ def _cmd_istar(config: RunConfig) -> None:
             "min_gap": report.min_gap,
             "energy_gap": report.energy_gap,
         },
-        config,
+        args,
     )
 
 
@@ -412,15 +376,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _cap_threads()
     try:
         args = _build_parser().parse_args(argv)
         for name in ("grid", "trials", "particles"):
             value = getattr(args, name)
             if value is not None and value < 1:
                 raise ValidationError(f"--{name} must be a positive integer, got {value}")
-        config = RunConfig(**vars(args))
-        _COMMANDS[config.command](config)
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+        for name in ("c1", "c2"):
+            value = getattr(args, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"--{name} must be finite, got {value}")
+        _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -96,8 +96,7 @@ class DensitySpec:
     edge_exponents the power behavior of f at the two support ends
     (f ~ dist^a at the left end, ~ dist^b at the right end).  nodes and
     values carry the table samples for kind "table" and the smooth
-    window profile g for kind "cheb"; alpha and beta are the trace
-    parameters of a free-pair density.
+    window profile g for kind "cheb".
     """
 
     kind: str
@@ -106,8 +105,6 @@ class DensitySpec:
     edge_exponents: tuple[float, float]
     nodes: np.ndarray | None = None
     values: np.ndarray | None = None
-    alpha: float | None = None
-    beta: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("nodes", "values"):
@@ -176,9 +173,7 @@ def free_pair_density(alpha: float, beta: float) -> DensitySpec:
     rho = min(alpha, beta, 1.0 - alpha, 1.0 - beta)
     left = -0.5 if lo == 0.0 else 0.5
     right = -0.5 if hi == 1.0 else 0.5
-    return DensitySpec(
-        "free_pair", 2.0 * rho, (lo, hi), (left, right), alpha=float(alpha), beta=float(beta)
-    )
+    return DensitySpec("free_pair", 2.0 * rho, (lo, hi), (left, right))
 
 
 def table_density(

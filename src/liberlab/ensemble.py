@@ -26,12 +26,10 @@ from .loggas import pair_energy, site_energy
 
 __all__ = [
     "EnsembleSpec",
-    "SpectrumSample",
     "McmcResult",
     "MatrixLsiReport",
     "structural_multiplicities",
     "log_density",
-    "sample_uniform_pair_spectrum",
     "sample_spectra",
     "selberg_log_z0",
     "log_z_quadrature",
@@ -67,15 +65,6 @@ class EnsembleSpec:
     @property
     def exponents(self) -> tuple[int, int]:
         return abs(self.k - self.l), abs(self.k + self.l - self.N)
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Nontrivial eigenvalues of one PQP draw plus the pinned counts."""
-
-    xs: np.ndarray
-    n0: int
-    n1: int
 
 
 @dataclass(frozen=True)
@@ -153,12 +142,6 @@ def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
         rows.append(np.clip(vals[:, :n], 0.0, 1.0))
         remaining -= t
     return np.concatenate(rows, axis=0)
-
-
-def sample_uniform_pair_spectrum(spec: EnsembleSpec, seed) -> SpectrumSample:
-    """One draw of the untilted model via a Haar projection pair."""
-    n0, n1, _ = spec.counts
-    return SpectrumSample(sample_spectra(spec, 1, seed)[0], n0, n1)
 
 
 def selberg_log_z0(spec: EnsembleSpec) -> float:

@@ -82,12 +82,12 @@ def b_function(s: float, t: float) -> float:
     )
 
 
-def constant_C(law: ProjectionPairLaw) -> tuple[float, float]:
-    """(rho, C) of a law: rho = min(alpha,beta,1-alpha,1-beta), C = rho^2 B(.,.)."""
+def constant_C(law: ProjectionPairLaw) -> float:
+    """C = rho^2 B(|alpha-beta|/rho, |alpha+beta-1|/rho) of a law, 0 when rho = 0."""
     alpha, beta, rho = law.alpha, law.beta, law.rho
     if rho <= 0.0:
-        return 0.0, 0.0
-    return rho, rho * rho * b_function(abs(alpha - beta) / rho, abs(alpha + beta - 1.0) / rho)
+        return 0.0
+    return rho * rho * b_function(abs(alpha - beta) / rho, abs(alpha + beta - 1.0) / rho)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class EntropyReport:
 
 def chi_proj(law: ProjectionPairLaw, grid: int = DEFAULT_GRID) -> EntropyReport:
     """Free entropy of a two-projection law."""
-    rho, c_const = constant_C(law)
+    rho, c_const = law.rho, constant_C(law)
     sigma = density_log_energy(law.density, grid)
     moments = log_energy_moments(law.density, grid)
     lm0, lm1 = density_log_moments(law.density, grid)
@@ -168,10 +168,10 @@ def rate_function(
 class EquilibriumResult:
     """Outcome of the tilted equilibrium maximization.
 
-    density is the maximizing density (window profile on (0,1)); law the
-    free pair law of the traces with its density replaced by the
-    maximizer, so the traces, rho and the edge coefficients are read
-    from it; objective the achieved value of (1/4)Sigma +
+    law is the free pair law of the traces with its density replaced by
+    the maximizer, so the traces, rho, the edge coefficients and the
+    maximizing density itself (window profile on (0,1)) are read from
+    it; objective the achieved value of (1/4)Sigma +
     (1/2)int(tilt)dnu on the solver grid; B_h and C_h = C + B_h the
     derived constants; flatness the final sup deviation of the
     first-order condition on the numerical support; iterations and
@@ -180,7 +180,6 @@ class EquilibriumResult:
     mass (None when rho = 0 and there is no density).
     """
 
-    density: DensitySpec
     law: ProjectionPairLaw
     objective: float
     B_h: float
@@ -190,6 +189,11 @@ class EquilibriumResult:
     iterations: int
     solve_iterations: int
     support: tuple[float, float] | None
+
+    @property
+    def density(self) -> DensitySpec:
+        """The maximizing density, law.density."""
+        return self.law.density
 
 
 def _tilt_values(law: ProjectionPairLaw, h: PotentialSpec, x: np.ndarray) -> np.ndarray:
@@ -386,12 +390,10 @@ def equilibrium_solve(
     free = free_pair_law(alpha, beta)
     h = h or zero_potential()
     m = grid
-    _, c_const = constant_C(free)
+    c_const = constant_C(free)
     if free.rho <= 0.0:
         b_h = chi_proj(free, m).chi - tau_of_potential(free, h, m)
-        return EquilibriumResult(
-            free.density, free, 0.0, b_h, c_const + b_h, 0.0, True, 0, 0, None
-        )
+        return EquilibriumResult(free, 0.0, b_h, c_const + b_h, 0.0, True, 0, 0, None)
 
     masses, obj, flat, converged, iterations, solve_iterations = _active_set(
         lambda x: _tilt_values(free, h, x), 2.0 * free.rho, m
@@ -399,13 +401,14 @@ def equilibrium_solve(
     g = (masses * (m / np.pi))[::-1].copy()
     left = 0.5 if free.coeff_at_0 > 0.0 else -0.5
     right = 0.5 if free.coeff_at_1 > 0.0 else -0.5
-    density = DensitySpec("cheb", float(np.sum(masses)), (0.0, 1.0), (left, right), values=g)
-    law = replace(free, density=density)
+    law = replace(
+        free, density=DensitySpec("cheb", float(np.sum(masses)), (0.0, 1.0), (left, right), values=g)
+    )
     b_h = chi_proj(law, m).chi - tau_of_potential(law, h, m)
     # nodes run in decreasing x
     nodes = _nodes_on_unit(m)[1][masses > 0.0]
     return EquilibriumResult(
-        density, law, float(obj), float(b_h), float(c_const + b_h),
+        law, float(obj), float(b_h), float(c_const + b_h),
         flat, converged, iterations, solve_iterations, (float(nodes[-1]), float(nodes[0])),
     )
 

@@ -24,7 +24,6 @@ __all__ = [
     "GradReport",
     "hs_inner",
     "hs_norm",
-    "normalized_trace",
     "model_projection",
     "haar_unitary",
     "sample_haar_projection",
@@ -51,12 +50,6 @@ def hs_inner(x: np.ndarray, y: np.ndarray) -> float:
 def hs_norm(x: np.ndarray) -> float:
     """Hilbert-Schmidt norm with the unnormalized trace."""
     return float(np.linalg.norm(x))
-
-
-def normalized_trace(x: np.ndarray) -> float:
-    """Trace divided by the matrix dimension."""
-    n = x.shape[0]
-    return float(np.real(np.trace(x))) / n
 
 
 def model_projection(n: int, k: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 A pair of projections with traces alpha and beta determines four atom
 weights (the traces of the meet projections) together with a measure nu
 on the open interval.  This module owns that record, the file format it
-is loaded from, and the integration helpers that later modules use.
+is loaded from, and the integrability checks that later modules use.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .densities import (
+# density_log_moments stays bound here, where perfbench/tracing.py times it.
+from .densities import (  # noqa: F401
     DensitySpec,
     arcsine_density,
     density_integrate,
@@ -27,32 +27,20 @@ from .densities import (
     zero_density,
 )
 from .errors import ValidationError
-from .grids import DEFAULT_GRID, graded_legendre
+from .grids import DEFAULT_GRID
 
 __all__ = [
     "ProjectionPairLaw",
     "IntegrabilityReport",
     "free_pair_law",
+    "generic_atoms",
     "load_law",
     "law_to_dict",
-    "log_x",
-    "log_one_minus_x",
-    "integrate_against",
     "weighted_norm",
     "check_integrability",
 ]
 
 _ATOL = 1e-9
-
-
-def log_x(x: np.ndarray) -> np.ndarray:
-    """Sentinel integrand log(x); integrate_against treats it with an edge-aware rule."""
-    return np.log(x)
-
-
-def log_one_minus_x(x: np.ndarray) -> np.ndarray:
-    """Sentinel integrand log(1-x); integrate_against treats it with an edge-aware rule."""
-    return np.log1p(-x)
 
 
 @dataclass(frozen=True)
@@ -245,10 +233,11 @@ def load_law(source: str | Path | dict) -> ProjectionPairLaw:
         atoms_doc = doc.get("atoms", {})
         atoms = {key: float(atoms_doc.get(key, 0.0)) for key in ("a11", "a10", "a01", "a00")}
         density_doc = doc.get("density", {"kind": "zero"})
-    except (KeyError, TypeError, ValueError) as exc:
+        density = _density_from_dict(density_doc, alpha, beta, 1.0 - sum(atoms.values()))
+    except ValidationError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"law document is malformed: {exc}") from exc
-    default_mass = 1.0 - sum(atoms.values())
-    density = _density_from_dict(density_doc, alpha, beta, default_mass)
     return ProjectionPairLaw(alpha, beta, density=density, **atoms)
 
 
@@ -271,46 +260,14 @@ def law_to_dict(law: ProjectionPairLaw) -> dict:
     }
 
 
-def integrate_against(
-    law: ProjectionPairLaw | DensitySpec,
-    g: Callable[[np.ndarray], np.ndarray],
-    grid: int = DEFAULT_GRID,
-) -> float:
-    """Integral of g against the continuous part nu of the law.
+def weighted_norm(f: DensitySpec, p: float, grid: int = DEFAULT_GRID) -> float:
+    """Norm (integral of |f|^p x(1-x) dx)^(1/p) of a density over (0,1).
 
-    The sentinels log_x and log_one_minus_x (and numpy.log itself)
-    route to the edge-aware logarithmic moment rule; any other callable
-    is integrated by the density's native quadrature.
-    """
-    d = law.density if isinstance(law, ProjectionPairLaw) else law
-    if g in (log_x, np.log):
-        return density_log_moments(d, grid)[0]
-    if g is log_one_minus_x:
-        return density_log_moments(d, grid)[1]
-    return density_integrate(d, g, grid)
-
-
-def weighted_norm(
-    f: DensitySpec | Callable[[np.ndarray], np.ndarray],
-    p: float,
-    grid: int = DEFAULT_GRID,
-) -> float:
-    """Norm (integral of |f|^p x(1-x) dx)^(1/p) over (0,1).
-
-    f may be a DensitySpec (edge singularities are handled and
-    divergence is reported as +inf) or a plain callable, integrated on
-    the graded Gauss-Legendre rule of the given resolution.
+    Edge singularities are handled and divergence is reported as +inf.
     """
     if p < 1:
         raise ValidationError("the weighted norm needs p >= 1")
-    if isinstance(f, DensitySpec):
-        return density_weighted_p_norm(f, p, grid)
-    if callable(f):
-        x, w = graded_legendre(grid)
-        return float(
-            np.dot(w, np.abs(np.asarray(f(x), dtype=float)) ** p * x * (1.0 - x)) ** (1.0 / p)
-        )
-    raise ValidationError("f must be a DensitySpec or a callable")
+    return density_weighted_p_norm(f, p, grid)
 
 
 @dataclass(frozen=True)

@@ -111,12 +111,11 @@ def _chi_hat(state: FlowState, x: np.ndarray) -> float:
     sigma = w * w * 2.0 * pair_energy(x)
     log0 = w * float(np.sum(np.log(x)))
     log1 = w * float(np.sum(np.log1p(-x)))
-    _, c_const = constant_C(law)
     return (
         0.25 * sigma
         + 0.5 * law.coeff_at_0 * log0
         + 0.5 * law.coeff_at_1 * log1
-        - c_const
+        - constant_C(law)
     )
 
 

@@ -127,18 +127,23 @@ def load_potential(source: str | Path | dict) -> PotentialSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"potential document is not valid JSON: {exc}") from exc
-    kind = doc.get("kind", "zero")
-    coeffs = doc.get("coeffs", ())
-    atoms_doc = doc.get("atom_values", {})
-    if isinstance(atoms_doc, dict):
-        atom_values = tuple(
-            float(atoms_doc.get(key, 0.0))
-            for key in ("h11_at_0", "h22_at_0", "h11_at_1", "h22_at_1")
-        )
-    else:
-        atom_values = tuple(float(v) for v in atoms_doc)
-    sup_norms = {k: float(v) for k, v in doc.get("sup_norms", {}).items()}
-    return PotentialSpec(kind, tuple(coeffs), atom_values, sup_norms)
+    try:
+        kind = doc.get("kind", "zero")
+        coeffs = doc.get("coeffs", ())
+        atoms_doc = doc.get("atom_values", {})
+        if isinstance(atoms_doc, dict):
+            atom_values = tuple(
+                float(atoms_doc.get(key, 0.0))
+                for key in ("h11_at_0", "h22_at_0", "h11_at_1", "h22_at_1")
+            )
+        else:
+            atom_values = tuple(float(v) for v in atoms_doc)
+        sup_norms = {k: float(v) for k, v in doc.get("sup_norms", {}).items()}
+        return PotentialSpec(kind, tuple(coeffs), atom_values, sup_norms)
+    except ValidationError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"potential document is malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)

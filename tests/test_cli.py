@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, report shape, reproducibility."""
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +89,28 @@ def test_broken_law_content(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(("flag", "document"), [
+    ("--law", {"alpha": 0.5, "beta": 0.5, "density": [1, 2]}),
+    ("--law", {"alpha": 0.5, "beta": 0.5, "density": {"kind": "uniform", "mass": "one"}}),
+    ("--law", {"alpha": 0.5, "beta": 0.5,
+               "density": {"kind": "table", "nodes": ["a", "b"], "values": [1.0, 1.0]}}),
+    ("--law", {"alpha": 0.5, "beta": 0.5, "density": {"kind": "uniform", "support": [0.2]}}),
+    ("--h", [0.0, 1.0]),
+    ("--h", {"kind": "poly", "coeffs": ["x"]}),
+])
+def test_malformed_document_is_a_usage_error(tmp_path, capsys, flag, document):
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    law = str(path) if flag == "--law" else FREE_HALF
+    argv = ["equilibrium", "--law", law, "--grid", "64", "--out", str(tmp_path / "report.json")]
+    if flag == "--h":
+        argv += ["--h", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_numerical_failure_exits_two(capsys, monkeypatch):
     def boom(config):
         raise NumericalError("synthetic instability")
@@ -163,12 +184,31 @@ def test_unresolved_lsi_matrix_exits_two_and_writes_nothing(tmp_path, capsys):
     ("verify-ricci", "--N", "3", "--k", "1"),
     ("verify-gradient", "--N", "3"),
 ])
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_nonpositive_trials_is_a_usage_error(tmp_path, capsys, command, trials):
+@pytest.mark.parametrize("bad", [
+    pytest.param(("--trials", "0"), id="0"),
+    pytest.param(("--trials", "-3"), id="-3"),
+    # numpy's default_rng refuses a negative seed
+    pytest.param(("--seed", "-1"), id="seed"),
+])
+def test_nonpositive_trials_is_a_usage_error(tmp_path, capsys, command, bad):
     out = tmp_path / "report"
-    code, _, err = run(capsys, *command, "--trials", trials, "--out", str(out))
+    code, _, err = run(capsys, *command, *bad, "--out", str(out))
     assert code == 1
-    assert err.startswith("error:") and "--trials" in err
+    assert err.startswith("error:") and bad[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(("command", "flag"), [
+    (("verify-gradient", "--N", "1"), "--N"),
+    (("verify-gradient", "--N", "0"), "--N"),
+    (("lsi", "--law", UNIFORM, "--c1", "nan"), "--c1"),
+    (("lsi", "--law", UNIFORM, "--c2", "inf"), "--c2"),
+])
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command, flag):
+    out = tmp_path / "report"
+    code, _, err = run(capsys, *command, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and flag in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -288,16 +328,6 @@ def test_no_partial_files_remain(tmp_path, capsys):
     assert cli.main(["chi", "--law", UNIFORM, "--out", str(out)]) == 0
     capsys.readouterr()
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
-
-
-def test_thread_cap_is_exported(monkeypatch, capsys):
-    for var in cli._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("LIBERLAB_THREADS", "3")
-    assert cli.main(["chi", "--law", UNIFORM]) == 0
-    capsys.readouterr()
-    for var in cli._THREAD_VARS:
-        assert os.environ[var] == "3"
 
 
 def test_equilibrium_command_reports_a_density(capsys):

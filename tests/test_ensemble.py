@@ -15,7 +15,6 @@ from liberlab.ensemble import (
     lsi_matrix_report,
     mcmc_tilted_spectrum,
     sample_spectra,
-    sample_uniform_pair_spectrum,
     selberg_log_z0,
     structural_multiplicities,
 )
@@ -154,13 +153,6 @@ def test_one_frame_draws_have_the_two_frame_law(model):
     # each ordered eigenvalue is independent across draws
     for j in range(one.shape[1]):
         assert ks_2samp(one[:, j], two[:, j]).pvalue > 1e-3, j
-
-
-def test_single_draw_wrapper():
-    s = sample_uniform_pair_spectrum(EnsembleSpec(3, 2, 2), seed=4)
-    assert s.n0 == 1 and s.n1 == 1
-    assert s.xs.shape == (1,)
-    assert 0.0 <= s.xs[0] <= 1.0
 
 
 def test_sampling_rejects_tilted_model():

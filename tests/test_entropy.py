@@ -64,13 +64,12 @@ def test_b_function_worked_values():
 
 
 def test_constant_c_symmetries_and_value():
-    rho, c = constant_C(UNIFORM)
-    assert rho == 0.5
-    assert c == pytest.approx(-np.log(2.0) / 2.0, abs=1e-14)
+    assert UNIFORM.rho == 0.5
+    assert constant_C(UNIFORM) == pytest.approx(-np.log(2.0) / 2.0, abs=1e-14)
     for a, b in [(0.3, 0.6), (0.2, 0.45), (0.7, 0.55)]:
-        _, c_ab = constant_C(free_pair_law(a, b))
-        _, c_ba = constant_C(free_pair_law(b, a))
-        _, c_flip = constant_C(free_pair_law(1 - a, 1 - b))
+        c_ab = constant_C(free_pair_law(a, b))
+        c_ba = constant_C(free_pair_law(b, a))
+        c_flip = constant_C(free_pair_law(1 - a, 1 - b))
         assert c_ab == pytest.approx(c_ba, abs=1e-13)
         assert c_ab == pytest.approx(c_flip, abs=1e-13)
 

@@ -14,11 +14,8 @@ from liberlab.laws import (
     check_integrability,
     free_pair_law,
     generic_atoms,
-    integrate_against,
     law_to_dict,
     load_law,
-    log_one_minus_x,
-    log_x,
     weighted_norm,
 )
 
@@ -101,18 +98,7 @@ def test_load_law_rejects_garbage(tmp_path):
         load_law({"alpha": 0.5, "beta": 0.5, "density": {"kind": "mystery"}})
 
 
-def test_integrate_against_log_sentinels():
-    law = make_law(0.5, 0.5, uniform_density(1.0))
-    assert integrate_against(law, log_x) == pytest.approx(-1.0, abs=1e-9)
-    assert integrate_against(law, np.log) == pytest.approx(-1.0, abs=1e-9)
-    assert integrate_against(law, log_one_minus_x) == pytest.approx(-1.0, abs=1e-9)
-    assert integrate_against(law, lambda x: x * 0 + 2.0) == pytest.approx(2.0, rel=1e-9)
-
-
 def test_weighted_norm_uniform():
-    assert weighted_norm(lambda x: np.ones_like(x), 2.0) == pytest.approx(
-        (1.0 / 6.0) ** 0.5, rel=1e-9
-    )
     assert weighted_norm(uniform_density(1.0), 3.0) == pytest.approx(
         (1.0 / 6.0) ** (1.0 / 3.0), rel=1e-9
     )
