@@ -388,6 +388,8 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, name)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"--{name} must be finite, got {value}")
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValidationError(f"--out {args.out}: its directory does not exist")
         _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

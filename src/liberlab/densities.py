@@ -24,9 +24,11 @@ function read (the Chebyshev moments keep the angle rule of their DCT).
 * smooth densities (kinds "uniform", "table"): bounded profiles whose
   rule is composite Gauss-Legendre, graded toward the window ends.  The
   Hilbert transform uses singularity subtraction with the exact
-  principal value of the constant term, and the log-kernel energy goes
-  through the same Chebyshev moment series as above (moments taken by
-  quadrature).
+  principal value of the constant term; its Cauchy sum over the nodes
+  is direct between neighbouring nodes and goes through power series
+  about the window ends for the rest (_cauchy_sum).  The log-kernel
+  energy goes through the same Chebyshev moment series as above
+  (moments taken by quadrature).
 
 The degenerate kind "zero" represents a vanishing measure; every
 functional returns its trivial value for it.
@@ -78,12 +80,14 @@ _EDGE_TOL = 1e-12
 _SQRT_KINDS = ("arcsine", "free_pair", "cheb")
 _SMOOTH_KINDS = ("uniform", "table")
 _LOG2 = float(np.log(2.0))
-# Entries in the one strip buffer of density_transport's kernel sum:
-# 2**17 doubles make 1 MB, which stays in a 2 MB L2 cache.  That gives
-# strips of 123 rows at 1064 nodes (grid 1024) and 31 rows at 4104
-# (grid 4096); one-BLAS-thread timings on a 2-vCPU Xeon were flat over
-# 64-123 rows at 1064 nodes and 24-56 rows at 4104.
-_BLOCK_ENTRIES = 2**17
+# Fewest targets in one group of density_transport's Cauchy sum, and
+# the most doubles in one block of its series powers (256 KB).  With
+# 64, groups span 5 octaves of the graded rule at grid 1024 and 2 at
+# grid 4096; one-BLAS-thread timings on a 2-vCPU Xeon were flat over
+# 56-96 at both grids.  Blocks of 256 KB timed the same as 512 KB and
+# 1 MB ones and keep the peak memory below the old 1 MB strip buffer.
+_MIN_GROUP = 64
+_POWER_ENTRIES = 2**15
 _CDF_NODES = 8192  # quadrature nodes of the distribution-function table
 _W1_POINTS = 20001  # evaluation points of w1_empirical_to_density
 
@@ -505,19 +509,12 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
     -f'(x_i); the correction -w_i f'(x_i) puts it back.  The sum is taken
     in its split form
 
-        sum_{j != i} R_ij w_j f_j - f_i sum_{j != i} R_ij w_j,  R_ij = 1/(x_i - x_j),
+        sum_{j != i} w_j f_j/(x_i - x_j) - f_i sum_{j != i} w_j/(x_i - x_j),
 
-    and R is antisymmetric, so each strip of rows forms R only against
-    the columns from its first row on, at one difference and one
-    reciprocal per stored entry, about n^2/2 entries for n nodes.  A
-    strip's differences are one BLAS product of slices of the factors
-    from loggas.difference_factors, bit for bit the broadcast
-    subtraction (see loggas.differences).  Each strip is applied as one
-    two-column product with [w f, w] to its own rows and, transposed
-    and negated, to the rows below it.  All strips reuse one buffer of
-    about _BLOCK_ENTRIES entries (at least one row), so the memory
-    beyond it is O(n).  A uniform density is constant on its window, so
-    its sum vanishes identically and is skipped.
+    both columns by one _cauchy_sum, which sums neighbouring nodes
+    directly and the rest through power series about the window ends,
+    with memory O(n) for n nodes.  A uniform density is constant on its
+    window, so its sum vanishes identically and is skipped.
     """
     if d.kind == "zero" or d.mass == 0.0:
         empty = np.zeros(0)
@@ -533,24 +530,210 @@ def density_transport(d: DensitySpec, m: int) -> TransportData:
     if d.kind == "uniform":
         # f is constant on the window, so the sum vanishes identically
         return TransportData(x, w_dx, w_dnu, hf)
-    n = x.size
-    rows = max(1, min(n, _BLOCK_ENTRIES // n))
-    wv = np.column_stack((w_dnu, w_dx))
-    acc = np.zeros((n, 2))
-    buf = np.empty(rows * n)
-    left, right = difference_factors(x, x)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        # R_ij = 1/(x_i - x_j) for the strip's rows and the columns j >= start
-        r = buf[: (stop - start) * (n - start)].reshape(stop - start, n - start)
-        np.matmul(left[start:stop], right[:, start:], out=r)
-        r.reshape(-1)[:: n - start + 1] = np.inf  # R_ii = 1/inf = 0
-        np.reciprocal(r, out=r)
-        acc[start:stop] += r @ wv[start:]
-        # R_ji = -R_ij gives the rows below the strip their columns in it
-        acc[stop:] -= r[:, stop - start :].T @ wv[start:stop]
+    acc = _cauchy_sum(x, np.column_stack((w_dnu, w_dx)), a, b)
     hf += acc[:, 0] - f * acc[:, 1]
     return TransportData(x, w_dx, w_dnu, hf)
+
+
+def _cauchy_sum(x: np.ndarray, g: np.ndarray, a: float, b: float) -> np.ndarray:
+    """S_i = sum_{j != i} g_j / (x_i - x_j) for increasing nodes x inside [a, b].
+
+    g has one column per sum.  Each half of the window is cut into
+    groups, runs of whole octaves of the distance to its own end with
+    at least _MIN_GROUP nodes (one group when the half has fewer than
+    twice that).  Listed from a to b the groups form a chain; pairs in
+    the same or neighbouring groups of the chain are summed directly
+    (_near_sum), and every other pair is at least one whole group
+    apart, so its distance ratio about the nearer end is at most rho < 1
+    and it enters through truncated power series (_EndSeries).  Their
+    term count makes rho**terms <= 2**-54, so the truncation stays at
+    the rounding level of the direct sum.
+    """
+    n = x.size
+    mid = int(np.searchsorted(x, 0.5 * (a + b)))
+    left = _octave_groups((x[:mid] - a) / (b - a))
+    right = _octave_groups((b - x[mid:][::-1]) / (b - a))
+    bounds = np.array(left + [mid] + [n - start for start in right[:0:-1]] + [n])
+    out = _near_sum(x, g, bounds)
+    if bounds.size < 4:
+        # one group per half: every pair is near
+        return out
+    ends = (
+        _EndSeries(x, g, bounds, len(left), a, b),
+        _EndSeries(-x[::-1], g[::-1], n - bounds[::-1], len(right), -b, -a),
+    )
+    rho = max(ends[0].ratio(ends[1]), ends[1].ratio(ends[0]))
+    terms = int(np.ceil(54.0 / -np.log2(rho)))
+    for end in ends:
+        end.moments(terms)
+    ends[0].add_far(ends[1], terms, out)
+    # the mirrored half sums -g/(x_i - x_j) in reversed order
+    mirrored = np.zeros_like(out)
+    ends[1].add_far(ends[0], terms, mirrored)
+    out -= mirrored[::-1]
+    return out
+
+
+def _octave_groups(dist: np.ndarray) -> list[int]:
+    """Starts of runs of whole octaves of the increasing dist, at least _MIN_GROUP entries each."""
+    starts = [0]
+    for cut in (np.flatnonzero(np.diff(np.frexp(dist)[1])) + 1).tolist():
+        if cut - starts[-1] >= _MIN_GROUP and dist.size - cut >= _MIN_GROUP:
+            starts.append(cut)
+    return starts
+
+
+def _near_sum(x: np.ndarray, g: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The Cauchy sum over pairs in the same or neighbouring groups of the chain.
+
+    R_ij = 1/(x_i - x_j) is antisymmetric, so each group forms R only
+    for its own rows against its own and the next group's columns, at
+    one difference and one reciprocal per entry.  The differences are
+    one BLAS product of slices of the factors from
+    loggas.difference_factors, bit for bit the broadcast subtraction
+    (see loggas.differences).  The block is applied to its own rows and,
+    transposed and negated, to the next group's rows.
+    """
+    out = np.zeros_like(g)
+    left, right = difference_factors(x, x)
+    last = bounds.size - 1
+    for q in range(last):
+        r0, r1, c1 = bounds[q], bounds[q + 1], bounds[min(q + 2, last)]
+        r = left[r0:r1] @ right[:, r0:c1]
+        r.reshape(-1)[:: c1 - r0 + 1] = np.inf  # R_ii = 1/inf = 0
+        np.reciprocal(r, out=r)
+        out[r0:r1] += r @ g[r0:c1]
+        out[r1:c1] -= r[:, r1 - r0 :].T @ g[r0:r1]
+    return out
+
+
+def _powers(base: np.ndarray | float, ratio: np.ndarray, terms: int) -> np.ndarray:
+    """base * ratio**k stacked over k < terms, with the shape of ratio per row.
+
+    Each doubling multiplies the finished rows by ratio**s in one call,
+    which is faster per entry than np.cumprod along the short axis.
+    """
+    out = np.empty((terms,) + ratio.shape)
+    out[0] = base
+    step = ratio
+    done = 1
+    while done < terms:
+        stop = min(2 * done, terms)
+        np.multiply(out[: stop - done], step, out=out[done:stop])
+        done = stop
+        if done < terms:
+            step = step * step
+    return out
+
+
+def _group_blocks(bounds: np.ndarray, count: int, rows: int):
+    """Runs [p, q) of the first count groups with at most _POWER_ENTRIES // rows nodes (or one group)."""
+    p = 0
+    while p < count:
+        q = p + 1
+        while q < count and (bounds[q + 1] - bounds[p]) * rows <= _POWER_ENTRIES:
+            q += 1
+        yield p, q
+        p = q
+
+
+class _EndSeries:
+    """Far-field series of one window half about its own end a.
+
+    x and g run from a toward b (the other half is passed mirrored),
+    u = (x - a)/(b - a) is the distance to this end and w = 1 - u the
+    distance to the other one.  bounds[:count + 1] delimit this
+    half's groups; the chain's next group, up to bounds[count + 1], is
+    the other half's top group.  In units of b - a, a target in group q
+    meets:
+
+    * groups p <= q - 2 through the multipole (1/u) sum_k A_k (lo_q/u)^k,
+      A_k = sum_j g_j (u_j/lo_q)^k;
+    * groups p >= q + 2 up to the other half's top group through the
+      local series -sum_k B_k (u/hi_q)^k, B_k = sum_j g_j/u_j (hi_q/u_j)^k;
+    * the rest of the other half through the multipole about b,
+      -(1/w) sum_k R_k (lam/w)^k, R_k = sum_j g_j (w_j/lam)^k, with lam the
+      least w of this half.
+
+    lo_q and hi_q are the least and greatest u in group q.  Each group's
+    moments are taken at its own scale (moments), so every power has a
+    ratio at most 1, and rescaled to the target group's (add_far).
+    """
+
+    def __init__(self, x: np.ndarray, g: np.ndarray, bounds: np.ndarray, count: int, a: float, b: float):
+        self.bounds, self.count, self.g, self.span = bounds, count, g, b - a
+        self.u = (x - a) / self.span
+        self.lo = self.u[bounds[: count + 1]]
+        self.hi = self.u[bounds[1 : count + 2] - 1]
+        self.lam = 1.0 - self.u[bounds[count] - 1]
+
+    def ratio(self, other: "_EndSeries") -> float:
+        """The largest source-to-target ratio that a series of this half meets."""
+        lo, hi, c = self.lo, self.hi, self.count
+        ratios = [hi[: max(c - 2, 0)] / lo[2:c], hi[: c - 1] / lo[2 : c + 1]]
+        if other.count > 1:
+            ratios.append(other.hi[other.count - 2 : other.count - 1] / self.lam)
+        return max((float(np.max(r)) for r in ratios if r.size), default=0.0)
+
+    def moments(self, terms: int) -> None:
+        """sum g (u/hi_p)^k and sum g/u (lo_p/u)^k over each group p of the chain up to the other top."""
+        bounds, c, u = self.bounds, self.count, self.u
+        stop = bounds[c + 1]
+        sizes = np.diff(bounds[: c + 2])
+        ratio = np.empty((2, stop))
+        np.divide(u[:stop], np.repeat(self.hi, sizes), out=ratio[0])
+        np.divide(np.repeat(self.lo, sizes), u[:stop], out=ratio[1])
+        weights = np.empty((stop, 4))
+        weights[:, :2] = self.g[:stop]
+        np.divide(self.g[:stop], u[:stop, None], out=weights[:, 2:])
+        mom = np.empty((c + 1, terms, 2, 4))
+        for p0, p1 in _group_blocks(bounds, c + 1, 2 * terms):
+            start = bounds[p0]
+            pw = _powers(1.0, ratio[:, start : bounds[p1]], terms).reshape(2 * terms, -1)
+            for p in range(p0, p1):
+                cols = slice(bounds[p] - start, bounds[p + 1] - start)
+                np.matmul(pw[:, cols], weights[bounds[p] : bounds[p + 1]], out=mom[p].reshape(2 * terms, 4))
+        self.multipole = mom[:, :, 0, :2]
+        self.local = mom[:, :, 1, 2:]
+
+    def add_far(self, other: "_EndSeries", terms: int, out: np.ndarray) -> None:
+        """Add the far-field sum at this half's nodes to out."""
+        bounds, c, u = self.bounds, self.count, self.u
+        lo, hi, lam = self.lo, self.hi, self.lam
+        # coef[q] = [A, B, R] of group q, from the moments rescaled to its lo_q or hi_q
+        q = np.arange(c)[:, None]
+        p = np.arange(c + 1)
+        scale = np.zeros((2, c, c + 1))
+        np.divide(hi, lo[:c, None], out=scale[0], where=p <= q - 2)
+        np.divide(hi[:c, None], lo, out=scale[1], where=p >= q + 2)
+        pw = _powers(scale > 0.0, scale, terms)
+        coef = np.zeros((c, terms, 3, 2))
+        coef[:, :, 0] = (pw[:, 0] @ self.multipole.transpose(1, 0, 2)).transpose(1, 0, 2)
+        coef[:, :, 1] = (pw[:, 1] @ self.local.transpose(1, 0, 2)).transpose(1, 0, 2)
+        if other.count > 1:
+            below = other.count - 1
+            pr = _powers(1.0, other.hi[:below] / lam, terms)
+            coef[:, :, 2] = np.einsum("kp,pkc->kc", pr, other.multipole[:below])
+        coef /= self.span
+        # base and ratio of the three series at every target
+        stop = bounds[c]
+        sizes = np.diff(bounds[: c + 1])
+        base = np.empty((3, stop))
+        ratio = np.empty((3, stop))
+        np.divide(1.0, u[:stop], out=base[0])
+        np.multiply(base[0], np.repeat(lo[:c], sizes), out=ratio[0])
+        base[1] = -1.0
+        np.divide(u[:stop], np.repeat(hi[:c], sizes), out=ratio[1])
+        np.subtract(u[:stop], 1.0, out=base[2])
+        np.divide(1.0, base[2], out=base[2])
+        np.multiply(base[2], -lam, out=ratio[2])
+        for q0, q1 in _group_blocks(bounds, c, 3 * terms):
+            start = bounds[q0]
+            pw = _powers(base[:, start : bounds[q1]], ratio[:, start : bounds[q1]], terms)
+            pw = pw.reshape(3 * terms, -1)
+            for q in range(q0, q1):
+                cols = slice(bounds[q] - start, bounds[q + 1] - start)
+                out[bounds[q] : bounds[q + 1]] += pw[:, cols].T @ coef[q].reshape(3 * terms, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ UNIFORM = str(FIXTURES / "uniform.json")
 BAD_ATOMS = str(FIXTURES / "bad_atoms.json")
 FREE_HALF = str(FIXTURES / "free_half.json")
 TILT = str(FIXTURES / "tilt_quad.json")
+TABLE_BUMP = str(FIXTURES / "table_bump.json")
 
 
 def run(capsys, *argv):
@@ -210,6 +211,30 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command, flag):
     assert code == 1
     assert err.startswith("error:") and flag in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ("chi", "--law", UNIFORM),
+    ("lsi", "--law", UNIFORM, "--grid", "256"),
+    ("sample", "--N", "3", "--k", "2", "--l", "2", "--trials", "10"),
+])
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "report.json"
+    code, stdout, err = run(capsys, *command, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "--out" in err and "Traceback" not in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lsi_on_a_table_law(tmp_path, capsys):
+    out = tmp_path / "lsi_table.json"
+    code, _, _ = run(capsys, "lsi", "--law", TABLE_BUMP, "--grid", "4096", "--out", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert np.isfinite(report["chi"]) and np.isfinite(report["phi_star"])
+    assert report["margin"] >= 0.0
+    assert report["nodes"] == 4104
 
 
 @pytest.mark.parametrize("command", ["liberate", "istar"])

@@ -155,15 +155,44 @@ def test_smooth_transport_matches_dense_sum(m):
         assert np.max(np.abs(td.hf - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
-@pytest.mark.parametrize("rows", [1, 5, 7, 64, 191])
-def test_strip_height_does_not_change_the_sum(monkeypatch, rows):
-    # 192 nodes: strips that divide the count, leave a short last strip, or are one row
+@pytest.mark.parametrize(("size", "case"), [
+    (1, "one target"),
+    (3, "edge inside a panel"),
+    (96, "all near"),
+])
+def test_group_size_does_not_change_the_sum(monkeypatch, size, case):
+    # 192 nodes, 8 per graded panel; the innermost panel spans several octaves
     d = random_generic_law(np.random.default_rng(11)).density
-    x = density_transport(d, 100).x
-    monkeypatch.setattr(densities, "_BLOCK_ENTRIES", rows * x.size)
+    monkeypatch.setattr(densities, "_MIN_GROUP", size)
     td = density_transport(d, 100)
+    starts = densities._octave_groups(td.x[:96])
+    if case == "one target":
+        assert 1 in np.diff(starts)
+    elif case == "edge inside a panel":
+        assert any(start % 8 for start in starts)
+    else:
+        assert starts == [0]
     oracle = dense_transform(d, td.x, td.w_dx)
     assert np.max(np.abs(td.hf - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_far_field_series_at_grid_16384():
+    # 16416 nodes: the series run 54 terms; check one row per octave of each half
+    d = random_generic_law(np.random.default_rng(11)).density
+    td = density_transport(d, 16384)
+    x, w = td.x, td.w_dx
+    octave = np.frexp(np.minimum(x, 1.0 - x))[1] + 100 * (x > 0.5)
+    rows = np.flatnonzero(np.diff(octave, prepend=octave[0] - 1))
+    f = density_values(d, x)
+    fp = _smooth_callable(d, derivative=True)(x)
+    oracle = np.empty(rows.size)
+    for k, i in enumerate(rows):
+        diff = x[i] - x
+        quot = np.zeros_like(diff)
+        np.divide(f - f[i], diff, out=quot, where=diff != 0.0)
+        oracle[k] = f[i] * np.log(x[i] / (1.0 - x[i])) - w[i] * fp[i] + quot @ w
+    assert x.size == 16416 and rows.size >= 64
+    assert np.max(np.abs(td.hf[rows] - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("d", [uniform_density(1.0), uniform_density(0.5, (0.2, 0.7))])
