@@ -30,6 +30,7 @@ from .densities import (
     density_integrate,
     density_log_energy,
     density_log_moments,
+    density_values,
     log_energy_moments,
 )
 from .errors import ValidationError
@@ -55,9 +56,10 @@ __all__ = [
 _LOG2 = float(np.log(2.0))
 _TOL = 1e-6  # flatness of the first-order condition
 _EXACT = 1e-12  # flatness at which a level's starting masses need no solve
-_FULL_START_NODES = 64  # the active-set recursion starts from uniform masses here
+_FULL_START_NODES = 64  # the active-set recursion starts from the free-pair masses here
 _MAX_ROUNDS = 60  # active-set rounds per level
-_PCG_TOL = 1e-15  # relative residual of each round's conjugate-gradient solve
+_ROUND_TOL = 1e-8  # relative residual of a round that only decides the active set
+_PCG_TOL = 1e-15  # relative residual of the finest level's polish
 _PCG_MAX = 500  # conjugate-gradient iterations per round
 
 
@@ -250,7 +252,12 @@ def _energy_operators(m: int) -> tuple[Callable, Callable]:
 
 
 def _pcg(
-    operator: Callable, inverse: Callable, rhs: np.ndarray, x: np.ndarray, support: np.ndarray
+    operator: Callable,
+    inverse: Callable,
+    rhs: np.ndarray,
+    x: np.ndarray,
+    support: np.ndarray,
+    tol: float,
 ) -> tuple[np.ndarray, int, bool]:
     """Conjugate gradients for -A_SS x = rhs, the rows side by side.
 
@@ -258,14 +265,14 @@ def _pcg(
     S, where the 0/1 mask support is 0.  operator applies -A and inverse
     the full-grid (-A)^{-1}; masked to S, the latter preconditions.
     Returns the solution, the iterations spent and whether every row's
-    residual fell to _PCG_TOL of its right-hand side within _PCG_MAX
+    residual fell to tol of its right-hand side within _PCG_MAX
     iterations.
     """
     r = rhs - support * operator(x)
     z = support * inverse(r)
     p = z
     rz = np.vecdot(r, z)
-    target = _PCG_TOL**2 * np.vecdot(rhs, rhs)
+    target = tol**2 * np.vecdot(rhs, rhs)
     spent = 0
     while True:
         live = np.vecdot(r, r) > target
@@ -283,10 +290,18 @@ def _pcg(
 
 
 def _active_set(
-    tilt: Callable[[np.ndarray], np.ndarray], mass: float, m: int
+    tilt: Callable[[np.ndarray], np.ndarray],
+    profile: Callable[[np.ndarray], np.ndarray],
+    mass: float,
+    m: int,
+    polish: bool = True,
 ) -> tuple[np.ndarray, float, float, bool, int, int]:
-    """Exact maximizer of the node-mass objective at m nodes.
+    """Maximizer of the node-mass objective at m nodes.
 
+    The coarsest level starts from masses proportional to profile at the
+    nodes.  Each round solves to the loose _ROUND_TOL, which is enough to
+    decide the active set; with polish, the final set is then solved once
+    more to _PCG_TOL.  Coarser levels only supply a start and do not polish.
     Returns masses, objective, flatness, converged, and the active-set
     rounds and conjugate-gradient iterations spent at this level and all
     coarser ones.
@@ -302,13 +317,17 @@ def _active_set(
         return dev, float(np.max(np.abs(dev[active])))
 
     if m <= _FULL_START_NODES:
-        masses = np.full(m, mass / m)
+        masses = profile(x_theta)
+        masses = np.where(np.isfinite(masses), masses, 0.0)
+        # a support narrower than the node spacing holds no node
+        if not np.sum(masses) > 0.0:
+            masses = np.ones(m)
         rounds = iterations = 0
     else:
         coarse_m = m // 4
-        coarse, _, _, _, rounds, iterations = _active_set(tilt, mass, coarse_m)
+        coarse, _, _, _, rounds, iterations = _active_set(tilt, profile, mass, coarse_m, False)
         masses = coarse[(2 * np.arange(m) + 1) * coarse_m // (2 * m)]
-        masses *= mass / np.sum(masses)
+    masses *= mass / np.sum(masses)
     active = masses > 0.0
     dev, flat = deviation(masses)
     if flat <= _EXACT and not np.any(~active & (dev > _TOL)):
@@ -316,12 +335,13 @@ def _active_set(
     rhs = np.stack([w, np.ones(m)])
     # each round's solve starts from the previous round's solution
     solution = np.zeros((2, m))
+    tol = _ROUND_TOL
     for _ in range(_MAX_ROUNDS):
         rounds += 1
         idx = np.flatnonzero(active)
         support = active.astype(float)
         start = solution * support
-        solution, spent, solved = _pcg(minus_energy, inverse, rhs * support, start, support)
+        solution, spent, solved = _pcg(minus_energy, inverse, rhs * support, start, support, tol)
         iterations += spent
         if not solved:
             break
@@ -331,6 +351,7 @@ def _active_set(
         negative = m_sub < -1e-15 * mass
         if np.any(negative):
             active[idx[negative]] = False
+            tol = _ROUND_TOL
             continue
         masses = np.zeros(m)
         masses[idx] = np.maximum(m_sub, 0.0)
@@ -339,9 +360,14 @@ def _active_set(
         if flat > _TOL:
             break
         joiners = ~active & (dev > _TOL)
-        if not np.any(joiners):
+        if np.any(joiners):
+            active |= joiners
+            tol = _ROUND_TOL
+            continue
+        if not polish or tol == _PCG_TOL:
             return masses, _objective(masses, w, minus_energy), flat, True, rounds, iterations
-        active |= joiners
+        # the set is decided: one more round on it, to the full residual
+        tol = _PCG_TOL
     return masses, _objective(masses, w, minus_energy), flat, False, rounds, iterations
 
 
@@ -359,25 +385,31 @@ def equilibrium_solve(
     functional is a strictly concave quadratic, so its maximizer over
     the simplex scaled to total mass 2 rho is unique.  An active-set
     loop finds it exactly: each round solves the first-order system
-    (equal gradient on the support, total mass fixed) exactly, drops the
-    nodes the solve sends negative, and otherwise adds the outside nodes
-    whose gradient exceeds the support level by more than 1e-6.  No
-    matrix is formed: -A = C^T D C is diagonal on the cosine basis (see
+    (equal gradient on the support, total mass fixed), drops the nodes
+    the solve sends negative, and otherwise adds the outside nodes whose
+    gradient exceeds the support level by more than 1e-6.  No matrix is
+    formed: -A = C^T D C is diagonal on the cosine basis (see
     _energy_operators), so on node masses that vanish off the support S
     it is a DCT-II, a diagonal, a DCT-III and a mask.  A round solves
     -A_SS [u v] = [w_S, 1] by conjugate gradients on both right-hand
-    sides at once, to a relative residual of 1e-15, preconditioned by
-    the exact full-grid inverse (the same DCT pair with another
-    diagonal) restricted to S and started from the previous round's
-    solution; a solve that needs more than 500 iterations ends the level
-    unconverged.  The loop stops when the first-order condition is flat
-    to 1e-6 on the support and no outside node qualifies.  Each level
-    starts from the same solve at grid // 4, carried to the nearest
-    nodes, and the coarsest (64 nodes or fewer) from uniform masses; a
-    start already flat to 1e-12 with no qualifying outside node needs
-    no solve.  iterations counts the rounds over all levels (0 when
-    every start is exact, as for the untilted free pair at (1/2, 1/2))
-    and solve_iterations their conjugate-gradient iterations.
+    sides at once, preconditioned by the exact full-grid inverse (the
+    same DCT pair with another diagonal) restricted to S and started
+    from the previous round's solution, to a relative residual of 1e-8:
+    enough to decide the sign of each mass and which nodes join.  When a
+    round at grid finds no node to drop or add, one more round, the
+    polish, continues the solve on that support to 1e-15 and the set is
+    tested again; the loop stops when a polished solve is flat to 1e-6
+    on the support and no outside node qualifies.  A solve that needs
+    more than 500 iterations ends the level unconverged.  Each level
+    starts from the same solve at grid // 4 (which is not polished),
+    carried to the nearest nodes, and the coarsest (64 nodes or fewer)
+    from the free pair of the same traces: masses proportional to
+    f(x) sqrt(x(1-x)) at the nodes, f the free-pair density.  A start
+    already flat to 1e-12 with no qualifying outside node needs no
+    solve.  iterations counts the rounds over all levels, the polish
+    included (0 when every start is exact, as for the untilted free
+    pair at (1/2, 1/2)), and solve_iterations their conjugate-gradient
+    iterations.
 
     The traces, their generic-position atoms, rho, C and the edge
     coefficients all come from free_pair_law(alpha, beta), which also
@@ -396,7 +428,10 @@ def equilibrium_solve(
         return EquilibriumResult(free, 0.0, b_h, c_const + b_h, 0.0, True, 0, 0, None)
 
     masses, obj, flat, converged, iterations, solve_iterations = _active_set(
-        lambda x: _tilt_values(free, h, x), 2.0 * free.rho, m
+        lambda x: _tilt_values(free, h, x),
+        lambda x: density_values(free.density, x) * np.sqrt(x * (1.0 - x)),
+        2.0 * free.rho,
+        m,
     )
     g = (masses * (m / np.pi))[::-1].copy()
     left = 0.5 if free.coeff_at_0 > 0.0 else -0.5

@@ -87,10 +87,11 @@ class LsiReport:
     relative fields are populated: sigma_h and phi_h are the relative
     entropy and relative Fisher information, factor is the constant
     1/(1 - c1*|dh|_inf - c2*|d2h|_inf), and relative_margin is
-    factor*phi_h - sigma_h.  equilibrium_converged, equilibrium_iterations
-    and equilibrium_flatness are the converged flag, active-set rounds and
-    final flatness of the h-tilted equilibrium solve behind sigma_h (None
-    when it did not run).  vacuous flags laws whose entropy is -inf, for which
+    factor*phi_h - sigma_h.  equilibrium_converged, equilibrium_iterations,
+    equilibrium_solve_iterations and equilibrium_flatness are the converged
+    flag, active-set rounds, their conjugate-gradient iterations and final
+    flatness of the h-tilted equilibrium solve behind sigma_h (None when it
+    did not run).  vacuous flags laws whose entropy is -inf, for which
     the plain inequality carries no content.  nodes is the number of
     quadrature nodes the drift was evaluated on, which can exceed the
     requested grid (0 when phi_star is +inf).
@@ -113,6 +114,7 @@ class LsiReport:
     smallness_ok: bool | None = None
     equilibrium_converged: bool | None = None
     equilibrium_iterations: int | None = None
+    equilibrium_solve_iterations: int | None = None
     equilibrium_flatness: float | None = None
 
 
@@ -267,5 +269,6 @@ def check_lsi(
         smallness_ok=smallness_ok,
         equilibrium_converged=None if eq is None else eq.converged,
         equilibrium_iterations=None if eq is None else eq.iterations,
+        equilibrium_solve_iterations=None if eq is None else eq.solve_iterations,
         equilibrium_flatness=None if eq is None else eq.flatness,
     )

@@ -216,6 +216,7 @@ def test_check_lsi_reports_the_tilted_solve():
     assert tilted.equilibrium_converged is True
     solve = equilibrium_solve(0.5, 0.5, h, M)
     assert tilted.equilibrium_iterations == solve.iterations > 0
+    assert tilted.equilibrium_solve_iterations == solve.solve_iterations > 0
     assert tilted.equilibrium_flatness == solve.flatness <= 1e-6
     assert tilted.sigma_h == relative_sigma_h(UNIFORM, h, M)
     plain = check_lsi(UNIFORM, grid=M)
@@ -225,4 +226,5 @@ def test_check_lsi_reports_the_tilted_solve():
     for rep in (plain, vacuous):
         assert rep.equilibrium_converged is None
         assert rep.equilibrium_iterations is None
+        assert rep.equilibrium_solve_iterations is None
         assert rep.equilibrium_flatness is None
