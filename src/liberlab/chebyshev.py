@@ -18,7 +18,8 @@ theta, which is why every routine here is a thin wrapper around a type
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dct, dst
+# the same kernels as scipy.fft, bit for bit, without its backend dispatch
+from scipy.fftpack import dct, dst
 
 __all__ = [
     "gc_angles",

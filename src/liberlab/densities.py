@@ -156,10 +156,11 @@ def free_pair_support(alpha: float, beta: float) -> tuple[float, float]:
 
     Endpoints within rounding distance of 0 or 1 are snapped exactly,
     which happens precisely when alpha = beta (left end) or
-    alpha + beta = 1 (right end).
+    alpha + beta = 1 (right end).  Both are symmetric in (alpha, beta)
+    bit for bit.
     """
     s = alpha + beta - 2.0 * alpha * beta
-    d = 2.0 * np.sqrt(alpha * beta * (1.0 - alpha) * (1.0 - beta))
+    d = 2.0 * np.sqrt((alpha * (1.0 - alpha)) * (beta * (1.0 - beta)))
     lo = max(s - d, 0.0)
     hi = min(s + d, 1.0)
     if lo < _EDGE_TOL:

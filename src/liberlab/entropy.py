@@ -19,7 +19,10 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.fft import dct
+# scipy.fftpack runs the same pocketfft kernels as scipy.fft, bit for bit,
+# without its per-call backend dispatch, which at a few hundred nodes
+# costs more than the transform itself
+from scipy.fftpack import dct
 from scipy.special import xlogy
 
 # moments_from_masses and cosine_series_at_angles stay bound here, where
@@ -254,39 +257,60 @@ def _energy_operators(m: int) -> tuple[Callable, Callable]:
 def _pcg(
     operator: Callable,
     inverse: Callable,
-    rhs: np.ndarray,
+    w: np.ndarray,
     x: np.ndarray,
+    minus_ax: np.ndarray,
     support: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, int, bool]:
-    """Conjugate gradients for -A_SS x = rhs, the rows side by side.
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Projected conjugate gradients for the masses of one round.
 
-    rhs and the start x are (rows, m) stacks that vanish off the support
-    S, where the 0/1 mask support is 0.  operator applies -A and inverse
-    the full-grid (-A)^{-1}; masked to S, the latter preconditions.
-    Returns the solution, the iterations spent and whether every row's
-    residual fell to tol of its right-hand side within _PCG_MAX
-    iterations.
+    Solves -A_SS x = w_S - level on the support S (the 0/1 mask support)
+    with sum(x) held at its starting value, the level being the
+    multiplier of that constraint.  The start x vanishes off S and
+    minus_ax is -A x on the full grid; both are carried along.  operator
+    applies -A and inverse the full-grid (-A)^{-1}, which masked to S
+    preconditions; with y = S (-A)^{-1} 1_S, each preconditioned residual
+    z = S (-A)^{-1} r is projected to sum zero as z - c y, c = sum(z) /
+    sum(y), so every step keeps the mass, and c 1_S leaves the residual
+    too, so that it does not stall at the rounding level (Gould, Hribar
+    and Nocedal, SIAM J. Sci. Comput. 23, 2001).  The solve stops when
+    the residual falls to tol of the norm of [w_S, level 1_S], the two
+    right-hand sides the masses combine, or after _PCG_MAX iterations.
+    Returns x, -A x, the iterations spent and whether the residual fell
+    to tol.
     """
-    r = rhs - support * operator(x)
-    z = support * inverse(r)
+    size = np.sum(support)
+    y = support * inverse(support)
+    y_sum = np.sum(y)
+
+    def project(r: np.ndarray) -> tuple[np.ndarray, float]:
+        z = support * inverse(r)
+        c = np.sum(z) / y_sum
+        return z - c * y, c
+
+    r = support * (w - minus_ax)
+    z, level = project(r)
+    r = r - level * support
     p = z
-    rz = np.vecdot(r, z)
-    target = tol**2 * np.vecdot(rhs, rhs)
+    rz = np.dot(r, z)
+    w_norm = np.dot(w, w * support)
     spent = 0
     while True:
-        live = np.vecdot(r, r) > target
-        if not live.any() or spent == _PCG_MAX:
-            return x, spent, not live.any()
+        solved = np.dot(r, r) <= tol**2 * (w_norm + level * level * size)
+        if solved or spent == _PCG_MAX:
+            return x, minus_ax, spent, solved
         spent += 1
-        q = support * operator(p)
-        # a row whose residual is small enough stops moving
-        step = np.divide(rz, np.vecdot(p, q), out=np.zeros_like(rz), where=live)
-        x = x + step[:, None] * p
-        r = r - step[:, None] * q
-        z = support * inverse(r)
-        rz, rz_old = np.vecdot(r, z), rz
-        p = z + np.divide(rz, rz_old, out=np.zeros_like(rz), where=live)[:, None] * p
+        q = operator(p)
+        step = rz / np.dot(p, q)
+        x = x + step * p
+        minus_ax = minus_ax + step * q
+        r = r - step * (support * q)
+        z, c = project(r)
+        r = r - c * support
+        level += c
+        rz, rz_old = np.dot(r, z), rz
+        p = z + (rz / rz_old) * p
 
 
 def _active_set(
@@ -302,17 +326,18 @@ def _active_set(
     nodes.  Each round solves to the loose _ROUND_TOL, which is enough to
     decide the active set; with polish, the final set is then solved once
     more to _PCG_TOL.  Coarser levels only supply a start and do not polish.
-    Returns masses, objective, flatness, converged, and the active-set
-    rounds and conjugate-gradient iterations spent at this level and all
-    coarser ones.
+    Each round starts from the previous round's masses, zeroed off its
+    support and rescaled to mass.  Returns masses, objective, flatness,
+    converged, and the active-set rounds and conjugate-gradient
+    iterations spent at this level and all coarser ones.
     """
     _, x_theta = _nodes_on_unit(m)
     w = tilt(x_theta)
     minus_energy, inverse = _energy_operators(m)
 
-    def deviation(masses: np.ndarray) -> tuple[np.ndarray, float]:
-        # the first-order gradient afresh from the masses; flatness is its sup on the support
-        grad = 0.5 * (w - minus_energy(masses))
+    def deviation(masses: np.ndarray, minus_ax: np.ndarray) -> tuple[np.ndarray, float]:
+        # the first-order gradient; flatness is its sup on the support
+        grad = 0.5 * (w - minus_ax)
         dev = grad - float(np.dot(masses, grad)) / mass
         return dev, float(np.max(np.abs(dev[active])))
 
@@ -329,34 +354,31 @@ def _active_set(
         masses = coarse[(2 * np.arange(m) + 1) * coarse_m // (2 * m)]
     masses *= mass / np.sum(masses)
     active = masses > 0.0
-    dev, flat = deviation(masses)
+    x, minus_ax = masses, minus_energy(masses)
+    dev, flat = deviation(masses, minus_ax)
     if flat <= _EXACT and not np.any(~active & (dev > _TOL)):
         return masses, _objective(masses, w, minus_energy), flat, True, rounds, iterations
-    rhs = np.stack([w, np.ones(m)])
-    # each round's solve starts from the previous round's solution
-    solution = np.zeros((2, m))
     tol = _ROUND_TOL
     for _ in range(_MAX_ROUNDS):
         rounds += 1
-        idx = np.flatnonzero(active)
-        support = active.astype(float)
-        start = solution * support
-        solution, spent, solved = _pcg(minus_energy, inverse, rhs * support, start, support, tol)
+        x, minus_ax, spent, solved = _pcg(
+            minus_energy, inverse, w, x, minus_ax, active.astype(float), tol
+        )
         iterations += spent
         if not solved:
             break
-        u, v = solution[:, idx]
-        # -A m = w - level on the support and sum(m) = mass fix the level
-        m_sub = u - v * ((np.sum(u) - mass) / np.sum(v))
-        negative = m_sub < -1e-15 * mass
+        negative = active & (x < -1e-15 * mass)
         if np.any(negative):
-            active[idx[negative]] = False
+            active[negative] = False
+            x = np.where(active, x, 0.0)
+            x *= mass / np.sum(x)
+            minus_ax = minus_energy(x)
             tol = _ROUND_TOL
             continue
-        masses = np.zeros(m)
-        masses[idx] = np.maximum(m_sub, 0.0)
+        masses = np.maximum(x, 0.0)
         masses *= mass / np.sum(masses)
-        dev, flat = deviation(masses)
+        x = masses
+        dev, flat = deviation(masses, minus_ax)
         if flat > _TOL:
             break
         joiners = ~active & (dev > _TOL)
@@ -391,21 +413,25 @@ def equilibrium_solve(
     formed: -A = C^T D C is diagonal on the cosine basis (see
     _energy_operators), so on node masses that vanish off the support S
     it is a DCT-II, a diagonal, a DCT-III and a mask.  A round solves
-    -A_SS [u v] = [w_S, 1] by conjugate gradients on both right-hand
-    sides at once, preconditioned by the exact full-grid inverse (the
-    same DCT pair with another diagonal) restricted to S and started
-    from the previous round's solution, to a relative residual of 1e-8:
-    enough to decide the sign of each mass and which nodes join.  When a
-    round at grid finds no node to drop or add, one more round, the
-    polish, continues the solve on that support to 1e-15 and the set is
-    tested again; the loop stops when a polished solve is flat to 1e-6
-    on the support and no outside node qualifies.  A solve that needs
-    more than 500 iterations ends the level unconverged.  Each level
-    starts from the same solve at grid // 4 (which is not polished),
-    carried to the nearest nodes, and the coarsest (64 nodes or fewer)
-    from the free pair of the same traces: masses proportional to
-    f(x) sqrt(x(1-x)) at the nodes, f the free-pair density.  A start
-    already flat to 1e-12 with no qualifying outside node needs no
+    -A_SS x = w_S - level, sum(x) = 2 rho, by projected conjugate
+    gradients on the masses themselves (see _pcg): the preconditioner is
+    the exact full-grid inverse (the same DCT pair with another
+    diagonal) restricted to S, projected so that every step keeps the
+    mass.  Each round starts from the previous round's masses, zeroed
+    off its support and rescaled to 2 rho, and carries -A x along, so
+    that the sign and joiner tests need no further transform; it stops
+    at a relative residual of 1e-8, enough to decide the sign of each
+    mass and which nodes join.  When a round at grid finds no node to
+    drop or add, one more round, the polish, continues the solve on that
+    support to 1e-15 and the set is tested again; the loop stops when a
+    polished solve is flat to 1e-6 on the support and no outside node
+    qualifies.  A solve that needs more than 500 iterations ends the
+    level unconverged.  Each level starts from the same solve at
+    grid // 4 (which is not polished), carried to the nearest nodes, and
+    the coarsest (64 nodes or fewer) from the free pair of the same
+    traces: masses proportional to f(x) sqrt(x(1-x)) at the nodes, f the
+    free-pair density; a level's first round starts from its start.  A
+    start already flat to 1e-12 with no qualifying outside node needs no
     solve.  iterations counts the rounds over all levels, the polish
     included (0 when every start is exact, as for the untilted free
     pair at (1/2, 1/2)), and solve_iterations their conjugate-gradient

@@ -136,10 +136,12 @@ def generic_atoms(alpha: float, beta: float) -> dict[str, float]:
     the max expressions (1 - 0.7 - 0.3 is 4e-17 in floats) would
     otherwise register as a genuine atom and trip the divergence rules
     for densities whose support touches the corresponding endpoint.
+    Every weight is computed symmetrically in (alpha, beta), so that
+    swapping the traces swaps a10 and a01 bit for bit.
     """
     raw = {
         "a11": max(alpha + beta - 1.0, 0.0),
-        "a00": max(1.0 - alpha - beta, 0.0),
+        "a00": max(1.0 - (alpha + beta), 0.0),
         "a10": max(alpha - beta, 0.0),
         "a01": max(beta - alpha, 0.0),
     }

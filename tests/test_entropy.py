@@ -240,6 +240,44 @@ def test_solve_forms_no_dense_matrix(m, a, b, h):
     assert peak <= 4 * 2**20, peak
 
 
+# conjugate-gradient iterations of each BORDERED_CASES solve at 1024 nodes
+# when every round solved for two right-hand sides, the masses and the
+# constraint, from the previous round's solutions
+TWO_ROW_ITERATIONS = [35, 58, 16]
+
+
+@pytest.mark.parametrize("case, two_row", zip(BORDERED_CASES, TWO_ROW_ITERATIONS))
+def test_solve_transforms_one_row_per_call(monkeypatch, case, two_row):
+    """The mass constraint rides on the conjugate-gradient row itself: each
+    iteration transforms one row of node masses (-A and the preconditioner,
+    two DCTs each), and a round or a level adds only a few transforms.
+    Warm-started from the previous round's masses, the one row also needs
+    fewer iterations than the two rows did."""
+    calls = []
+    inside = [False]
+    dct, pcg = entropy.dct, entropy._pcg
+
+    def counting(x, *args, **kwargs):
+        calls.append((np.ndim(x), inside[0]))
+        return dct(x, *args, **kwargs)
+
+    def traced(*args):
+        inside[0] = True
+        try:
+            return pcg(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(entropy, "dct", counting)
+    monkeypatch.setattr(entropy, "_pcg", traced)
+    res = equilibrium_solve(*case, 1024)
+    assert res.converged
+    assert res.solve_iterations < two_row
+    in_pcg = [ndim for ndim, within in calls if within]
+    assert in_pcg and all(ndim == 1 for ndim in in_pcg)
+    assert len(calls) <= 4 * res.solve_iterations + 6 * res.iterations + 8 * _levels(1024)
+
+
 def test_iteration_cap_ends_the_solve_unconverged(monkeypatch):
     monkeypatch.setattr(entropy, "_PCG_MAX", 1)
     res = equilibrium_solve(0.3, 0.6, None, 256)
