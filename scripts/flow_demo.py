@@ -57,7 +57,9 @@ def main(argv=None) -> int:
     dchi = np.diff(diag.chi)
     mid = (diag.t >= 0.25) & (diag.phi_star >= 1e-4 * diag.phi_star[0])
     print()
-    print(f"steps accepted: {diag.t.size - 1}")
+    print(f"steps accepted: {diag.steps}, rejected: {diag.rejected_steps}, "
+          f"pair-sum evaluations: {diag.evals}")
+    print(f"energy gap (half integral - rise of chi): {diag.energy_gap:+.3e}")
     print(f"min chi increment: {dchi.min():+.3e} (monotone: {bool(np.all(dchi >= -1e-12))})")
     print(f"max mid-flow |dchi/dt - phi*/2| / (phi*/2): {diag.ratio_error[mid].max():.3e}")
     print(f"half integral of phi*: {diag.half_integral[-1]:.6f}  "

@@ -332,6 +332,7 @@ def _cmd_istar(args: argparse.Namespace) -> None:
             "floored": report.floored,
             "steps": report.steps,
             "rejected_steps": report.rejected_steps,
+            "evals": report.evals,
             "dt_min": report.dt_min,
             "dt_max": report.dt_max,
             "min_gap": report.min_gap,

@@ -3,19 +3,28 @@
 The free eigenvalues of the two-projection model and the particles of
 the liberation flow are the same gas, with pair energy
 sum_{i<j} log|x_i - x_j|.  This module is the one implementation of
-that sum, of its gradient and of one site's energy against the rest,
+that sum, of its gradient (with the diagonal of its Hessian, which
+bounds the flow's stiffness), of one site's energy against the rest,
 and of the difference matrix they are built from.
 The one-body edge and tilt terms stay with the callers because they
 differ for a reason: the flow's velocity keeps the mobility form
-c0 (1 - x) - c1 x, finite at Runge-Kutta stage points that land on 0
-or 1, where the eigenvalue law has a log x + b log(1 - x).
+c0 (1 - x) - c1 x, finite at the inner stages of a
+Runge-Kutta-Chebyshev step, which may leave (0,1), where the eigenvalue
+law has a log x + b log(1 - x).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["difference_factors", "differences", "pair_energy", "pair_force", "site_energy"]
+__all__ = [
+    "difference_factors",
+    "differences",
+    "pair_energy",
+    "pair_force",
+    "pair_force_curvature",
+    "site_energy",
+]
 
 
 def difference_factors(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,12 +70,23 @@ def pair_energy(x: np.ndarray) -> float:
     return 0.5 * float(np.sum(gaps))
 
 
-def pair_force(x: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1/(x_i - x_j) for every i, the gradient of pair_energy."""
+def _reciprocals(x: np.ndarray) -> np.ndarray:
+    """1/(x_i - x_j), with 0 on the diagonal."""
     diff = differences(x, x)
     np.fill_diagonal(diff, np.inf)
-    np.reciprocal(diff, out=diff)
-    return np.sum(diff, axis=1)
+    return np.reciprocal(diff, out=diff)
+
+
+def pair_force(x: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1/(x_i - x_j) for every i, the gradient of pair_energy."""
+    return np.sum(_reciprocals(x), axis=1)
+
+
+def pair_force_curvature(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pair_force(x) and sum_{j != i} 1/(x_i - x_j)^2 for every i, minus
+    the diagonal of pair_energy's Hessian, from one reciprocal matrix."""
+    inv = _reciprocals(x)
+    return np.sum(inv, axis=1), np.einsum("ij,ij->i", inv, inv)
 
 
 def site_energy(x: np.ndarray, i: int, y: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ from liberlab.liberation import (
     particle_velocity,
 )
 
+from conftest import random_generic_law
+
 UNIFORM = ProjectionPairLaw(0.5, 0.5, 0.0, 0.0, 0.0, 0.0, uniform_density(1.0))
 CHI_UNIFORM = -3.0 / 8.0 + np.log(2.0) / 2.0
 
@@ -128,21 +130,25 @@ def test_step_collapse_reports_the_partial_state():
 
 
 def test_flow_bookkeeping_accumulates_across_calls():
-    # at n = 192 the cap-limited steps start failing the gap rule by t = 0.5
-    start = init_flow(UNIFORM, 192)
-    assert start.rejected_steps == 0 and start.min_gap == np.inf
-    first = flow_evolve(start, 0.5)
-    both = flow_evolve(first, 1.0)
-    assert first.rejected_steps > 0
-    assert both.rejected_steps >= first.rejected_steps
+    # by t = 4 the end particles of the n = 64 flow sit within rounding of
+    # 0 and 1, and a step whose proposal rounds one onto an end is rejected
+    start = init_flow(UNIFORM, 64)
+    assert (start.rejected_steps, start.evals, start.min_gap) == (0, 0, np.inf)
+    first = flow_evolve(start, 4.0)
+    both = flow_evolve(first, 8.0)
+    assert 0 < first.rejected_steps < both.rejected_steps
+    # every accepted step evaluates the pair sum at least twice
+    assert 1 + 2 * (len(first.history) - 1) <= first.evals < both.evals
     assert 0.0 < first.min_gap <= np.diff(start.particles).min()
     assert both.min_gap <= min(first.min_gap, np.diff(both.particles).min())
 
 
 def test_step_check_rejects_nan():
-    x = np.array([0.2, 0.4, 0.6])
-    assert _step_ok(x, x.copy())
-    assert not _step_ok(x, np.array([0.2, np.nan, 0.6]))
+    """A proposal must be finite, inside (0,1) and strictly increasing."""
+    assert _step_ok(np.array([0.2, 0.4, 0.6]))
+    bad = [[0.2, np.nan, 0.6], [0.0, 0.4, 0.6], [0.2, 0.4, 1.0], [0.2, 0.6, 0.4], [0.2, 0.4, 0.4]]
+    for proposal in bad:
+        assert not _step_ok(np.array(proposal)), proposal
 
 
 def test_uniform_flow_production_and_relaxation():
@@ -159,6 +165,24 @@ def test_uniform_flow_production_and_relaxation():
 
     w1 = w1_empirical_to_density(state.particles, free_pair_law(0.5, 0.5).density)
     assert w1 <= 0.02
+
+
+@pytest.mark.parametrize("law, n, t_max", [("uniform", 384, 1.5), ("atoms", 256, 4.0)])
+def test_energy_gap_is_within_1e_4_of_istar(law, n, t_max):
+    """The two flows of the benchmark: the uniform law, and the law
+    random_generic_law draws from generator seed 7."""
+    law = UNIFORM if law == "uniform" else random_generic_law(np.random.default_rng(7))
+    rep = istar(law, n, t_max)
+    assert abs(rep.energy_gap) <= 1e-4 * abs(rep.value)
+    assert flow_diagnostics(rep.state).energy_gap == rep.energy_gap
+
+
+def test_accepted_steps_do_not_grow_with_n():
+    """The stiffness grows with n; the stage count absorbs it, not the steps."""
+    runs = [flow_evolve(init_flow(UNIFORM, n), 20.0) for n in (128, 256)]
+    steps = [len(run.history) - 1 for run in runs]
+    assert max(steps) <= 2 * min(steps)
+    assert all(run.rejected_steps < len(run.history) - 1 for run in runs)
 
 
 def test_istar_recovers_the_uniform_deficit():

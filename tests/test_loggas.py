@@ -9,7 +9,13 @@ from liberlab.densities import uniform_density
 from liberlab.ensemble import EnsembleSpec, mcmc_tilted_spectrum
 from liberlab.laws import ProjectionPairLaw
 from liberlab.liberation import istar
-from liberlab.loggas import differences, pair_energy, pair_force, site_energy
+from liberlab.loggas import (
+    differences,
+    pair_energy,
+    pair_force,
+    pair_force_curvature,
+    site_energy,
+)
 from liberlab.potentials import PsiSpec
 
 from conftest import FIXTURES
@@ -63,6 +69,9 @@ def test_pair_force_is_the_dense_reciprocal_row_sum(rng):
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, np.inf)
     assert np.array_equal(pair_force(x), np.sum(1.0 / diff, axis=1))
+    force, curvature = pair_force_curvature(x)
+    assert np.array_equal(force, pair_force(x))
+    np.testing.assert_allclose(curvature, np.sum(diff**-2.0, axis=1), rtol=1e-14, atol=0.0)
 
 
 def test_pair_force_is_the_gradient_of_pair_energy(rng):
@@ -95,6 +104,13 @@ def test_flow_matches_the_recorded_run():
     assert rep.value == pytest.approx(rec["value"], rel=1e-12, abs=0.0)
     assert rep.integrated == pytest.approx(rec["integrated"], rel=1e-12, abs=0.0)
     np.testing.assert_allclose(rep.state.particles, rec["particles"], rtol=1e-12, atol=0.0)
+
+
+def test_flow_agrees_with_the_rk4_run_within_its_energy_gap():
+    """The RK4 flow this oracle recorded before gave 0.029505427292127535,
+    with an energy gap, its own time-stepping error, of 1.0e-5."""
+    rep = istar(UNIFORM, 64, 2.0)
+    assert abs(rep.value - 0.029505427292127535) <= 1.0e-5
 
 
 def test_metropolis_chain_matches_the_recorded_run():

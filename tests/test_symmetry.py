@@ -9,6 +9,7 @@ from liberlab.densities import table_density
 from liberlab.entropy import chi_proj, equilibrium_solve
 from liberlab.fisher import EMPIRICAL_C1, EMPIRICAL_C2, check_lsi, phi_star
 from liberlab.laws import ProjectionPairLaw
+from liberlab.liberation import istar
 from liberlab.potentials import poly_potential
 
 from conftest import random_generic_law
@@ -88,3 +89,29 @@ def test_reflection_mirrors_the_equilibrium(m, h):
         assert abs(mirror.B_h - res.B_h) <= 1e-14
         lo, hi = res.support
         assert mirror.support == pytest.approx((1.0 - hi, 1.0 - lo), rel=0, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def flow_laws():
+    """Three seed-5 laws and their istar at (n, t) = (128, 4), grid 1024."""
+    rng = np.random.default_rng(5)
+    laws = [random_generic_law(rng) for _ in range(3)]
+    return [(law, istar(law, 128, 4.0, 1024)) for law in laws]
+
+
+def test_swap_leaves_istar_unchanged_bit_for_bit(flow_laws):
+    """The swap keeps the density and the sums a01 + a10 and a00 + a11."""
+    for law, rep in flow_laws:
+        swapped = istar(swap(law), 128, 4.0, 1024)
+        assert (swapped.value, swapped.steps, swapped.evals) == (rep.value, rep.steps, rep.evals)
+
+
+def test_reflection_leaves_istar_unchanged(flow_laws):
+    """Q -> I - Q mirrors the particles.  The flows take the same steps;
+    the values differ by at most 1.7e-7 relative, which the mirrored
+    table's quantiles put there before the flow starts.  Bound 1e-6,
+    about 6x headroom."""
+    for law, rep in flow_laws:
+        mirror = istar(reflect(law), 128, 4.0, 1024)
+        assert mirror.steps == rep.steps
+        assert mirror.value == pytest.approx(rep.value, rel=1e-6, abs=0.0)
