@@ -211,10 +211,11 @@ def _density_from_dict(spec: dict, alpha: float, beta: float, default_mass: floa
 def load_law(source: str | Path | dict) -> ProjectionPairLaw:
     """Build a validated law from a JSON file, JSON text, or a dict.
 
-    The document carries alpha, beta, atoms{a11,a10,a01,a00} and a
-    density object {kind, nodes, values, edge_exponents, mass}.  A
-    declared density mass that disagrees with quadrature by more than
-    1e-6 is an error; smaller mismatches are rescaled away.
+    The document, as law_to_dict writes it, carries alpha, beta,
+    atoms{a11,a10,a01,a00} and a density object {kind, mass, support,
+    edge_exponents}, plus nodes and values for a table.  A declared
+    table mass that disagrees with quadrature by more than 1e-6 is an
+    error; smaller mismatches are rescaled away.
     """
     if isinstance(source, dict):
         doc = source
@@ -244,7 +245,12 @@ def load_law(source: str | Path | dict) -> ProjectionPairLaw:
 
 
 def law_to_dict(law: ProjectionPairLaw) -> dict:
-    """JSON-ready summary of a law (density reduced to its headline data)."""
+    """The JSON-ready document that load_law reads back into the same law.
+
+    The density carries its kind, mass, support and edge exponents, and
+    a table's nodes and values.  A "cheb" density (the window profile of
+    an equilibrium) is written too, but load_law rejects its kind.
+    """
     d = law.density
     density: dict = {
         "kind": d.kind,
@@ -252,14 +258,11 @@ def law_to_dict(law: ProjectionPairLaw) -> dict:
         "support": list(d.support),
         "edge_exponents": list(d.edge_exponents),
     }
-    return {
-        "alpha": law.alpha,
-        "beta": law.beta,
-        "atoms": law.atoms,
-        "density": density,
-        "rho": law.rho,
-        "generic": law.generic,
-    }
+    for name in ("nodes", "values"):
+        samples = getattr(d, name)
+        if samples is not None:
+            density[name] = samples.tolist()
+    return {"alpha": law.alpha, "beta": law.beta, "atoms": law.atoms, "density": density}
 
 
 def weighted_norm(f: DensitySpec, p: float, grid: int = DEFAULT_GRID) -> float:

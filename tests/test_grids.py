@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from liberlab.entropy import chi_proj
 from liberlab.grids import _legendre_rule, graded_legendre
+from liberlab.laws import load_law
+
+from conftest import FIXTURES, random_generic_law
 
 
 def test_graded_legendre_integrates_smooth_functions():
@@ -46,3 +50,29 @@ def test_panel_rule_is_computed_once_and_read_only():
 def test_node_count_is_floored_and_rounded_up_per_panel(m, nodes):
     x, w = graded_legendre(m)
     assert x.size == w.size == nodes
+
+
+@pytest.mark.parametrize(
+    "m, a, b",
+    # on [0.3, 0.9] at m = 12288, a depth-38 rule rounds a node onto b
+    [(24576, 0.0, 1.0), (32768, 0.0, 1.0), (65536, 0.0, 1.0), (12288, 0.3, 0.9)],
+)
+def test_every_node_is_distinct_and_strictly_inside(m, a, b):
+    x, w = graded_legendre(m, a, b)
+    assert x[0] > a and x[-1] < b and np.all(np.diff(x) > 0)
+    assert np.sum(w) == pytest.approx(b - a, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["random_seed7", "table_bump"])
+def test_chi_converges_past_grid_16384(name):
+    law = (
+        random_generic_law(np.random.default_rng(7))
+        if name == "random_seed7"
+        else load_law(FIXTURES / "table_bump.json")
+    )
+    chi = chi_proj(law, 16384).chi
+    for grid in (32768, 65536):
+        report = chi_proj(law, grid)
+        # a node on 1 makes log_moment_1 NaN even where its coefficient is 0
+        assert np.isfinite([report.log_moment_0, report.log_moment_1]).all()
+        assert report.chi == pytest.approx(chi, abs=1e-8)

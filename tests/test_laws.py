@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liberlab.densities import free_pair_density, uniform_density, zero_density
+from liberlab.densities import (
+    arcsine_density,
+    cheb_density,
+    free_pair_density,
+    uniform_density,
+    zero_density,
+)
 from liberlab.errors import ValidationError
 from liberlab.laws import (
     ProjectionPairLaw,
@@ -19,7 +25,7 @@ from liberlab.laws import (
     weighted_norm,
 )
 
-from conftest import random_generic_law
+from conftest import FIXTURES, random_generic_law
 
 
 def make_law(alpha, beta, density, a11=0.0, a10=0.0, a01=0.0, a00=0.0):
@@ -76,15 +82,39 @@ def test_free_pair_law_degenerate_traces():
     assert law.a01 == pytest.approx(0.5) and law.a00 == pytest.approx(0.5)
 
 
-def test_load_law_round_trip(tmp_path):
-    law = free_pair_law(0.3, 0.6)
-    doc = law_to_dict(law)
-    path = tmp_path / "law.json"
-    path.write_text(json.dumps(doc))
-    again = load_law(str(path))
-    assert again.alpha == law.alpha
-    assert again.atoms == pytest.approx(law.atoms)
-    assert again.density.kind == "free_pair"
+ROUND_TRIP_LAWS = {
+    "uniform": lambda: load_law(FIXTURES / "uniform.json"),
+    "free_half": lambda: load_law(FIXTURES / "free_half.json"),
+    "free_asym": lambda: load_law(FIXTURES / "free_asym.json"),
+    "table_bump": lambda: load_law(FIXTURES / "table_bump.json"),
+    "random_seed3": lambda: random_generic_law(np.random.default_rng(3)),
+    "random_seed7": lambda: random_generic_law(np.random.default_rng(7)),
+    "arcsine": lambda: make_law(0.5, 0.5, arcsine_density(0.6, (0.1, 0.8)), a11=0.2, a00=0.2),
+    "zero": lambda: make_law(0.5, 0.5, zero_density(), a11=0.5, a00=0.5),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_LAWS)
+def test_load_law_round_trip(name):
+    law = ROUND_TRIP_LAWS[name]()
+    again = load_law(json.loads(json.dumps(law_to_dict(law))))
+    assert (again.alpha, again.beta, again.atoms) == (law.alpha, law.beta, law.atoms)
+    d, e = law.density, again.density
+    assert (e.kind, e.mass, e.support, e.edge_exponents) == (d.kind, d.mass, d.support, d.edge_exponents)
+    if d.kind == "table":
+        assert np.array_equal(e.nodes, d.nodes)
+        # table_density rescales the values to the declared mass again
+        assert np.allclose(e.values, d.values, rtol=4e-15, atol=0.0)
+    else:
+        assert e.nodes is None and e.values is None
+
+
+def test_cheb_law_document_does_not_load():
+    law = make_law(0.3, 0.6, cheb_density(np.full(64, 0.6 / np.pi), (0.1, 0.9)), a01=0.3, a00=0.1)
+    doc = json.loads(json.dumps(law_to_dict(law)))
+    assert doc["density"]["kind"] == "cheb" and len(doc["density"]["values"]) == 64
+    with pytest.raises(ValidationError, match="unknown density kind 'cheb'"):
+        load_law(doc)
 
 
 def test_load_law_rejects_garbage(tmp_path):
