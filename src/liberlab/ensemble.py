@@ -22,7 +22,7 @@ from scipy.special import betaln, gammaln, xlogy
 
 from .errors import NumericalError, ValidationError
 from .grassmann import haar_unitary
-from .loggas import pair_energy, site_energy
+from .loggas import pair_energy, site_energy_change
 
 __all__ = [
     "EnsembleSpec",
@@ -131,17 +131,35 @@ def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     tol = max(_STRUCTURAL_TOL, spec.N * 64 * np.finfo(float).eps)
     rows = []
-    remaining = trials
-    while remaining > 0:
-        t = min(_BATCH, remaining)
-        b = haar_unitary(spec.N, rng, (t,), spec.l)[:, : spec.k, :]
-        bh = np.conjugate(np.swapaxes(b, -1, -2))
-        vals = np.linalg.eigvalsh(b @ bh if spec.k <= spec.l else bh @ b)
+    for start in range(0, trials, _BATCH):
+        t = min(_BATCH, trials - start)
+        shape = (t, spec.N, spec.l)
+        if spec.l <= 2:  # haar_unitary's draw, orthonormalised in _small_frame_spectra
+            vals = _small_frame_spectra(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), spec.k)
+        else:
+            b = haar_unitary(spec.N, rng, (t,), spec.l)[:, : spec.k, :]
+            bh = np.conjugate(np.swapaxes(b, -1, -2))
+            vals = np.linalg.eigvalsh(b @ bh if spec.k <= spec.l else bh @ b)
         if n1 and float(np.max(np.abs(vals[:, n:] - 1.0))) > tol:
             raise NumericalError("structural unit eigenvalues stray beyond tolerance")
         rows.append(np.clip(vals[:, :n], 0.0, 1.0))
-        remaining -= t
     return np.concatenate(rows, axis=0)
+
+
+def _small_frame_spectra(g: np.ndarray, k: int) -> np.ndarray:
+    """Ascending top min(k, l) eigenvalues of B* B, B the top k rows of the frames that Gram-Schmidt
+    (run twice) makes of Ginibre blocks g, N x l with l <= 2, in closed form: no call per matrix."""
+    q = g[..., 0] / np.sqrt(np.vecdot(g[..., 0], g[..., 0]).real)[:, None]
+    a = np.vecdot(q[:, :k], q[:, :k]).real
+    if g.shape[-1] == 1:
+        return a[:, None]
+    v = g[..., 1]
+    for _ in range(2):
+        v = v - q * np.vecdot(q, v)[:, None]
+    v = v[:, :k] / np.sqrt(np.vecdot(v, v).real)[:, None]
+    d = np.vecdot(v, v).real
+    mid, half = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(np.vecdot(q[:, :k], v)))
+    return np.stack((mid - half, mid + half), axis=-1)[:, 2 - min(k, 2) :]
 
 
 def selberg_log_z0(spec: EnsembleSpec) -> float:
@@ -278,24 +296,23 @@ def mcmc_tilted_spectrum(
             val -= spec.N * float(spec.psi(xi))
         return val
 
-    x = np.sort(rng.uniform(0.2, 0.8, size=n))
-    point_terms = np.array([logpdf_point(xi) for xi in x])
+    normal, uniform = rng.standard_normal, rng.random  # random() is uniform()'s double
+    x = np.sort(rng.uniform(0.2, 0.8, size=n)).tolist()
+    point_terms = [logpdf_point(xi) for xi in x]
     step = 0.25
     accepted = 0
     proposed = 0
 
     def sweep() -> None:
         nonlocal accepted, proposed
+        proposed += n
         for i in range(n):
-            xi = x[i] + step * rng.standard_normal()
-            proposed += 1
+            xi = x[i] + step * normal()
             new_point = logpdf_point(xi)
             if new_point == -math.inf:
                 continue
-            delta = new_point - point_terms[i]
-            moved, stayed = site_energy(x, i, np.array((xi, x[i])))
-            delta += 2.0 * (moved - stayed)
-            if delta >= 0.0 or math.log(rng.uniform()) < delta:
+            delta = new_point - point_terms[i] + 2.0 * site_energy_change(x, i, xi)
+            if delta >= 0.0 or math.log(uniform()) < delta:
                 x[i] = xi
                 point_terms[i] = new_point
                 accepted += 1
@@ -325,7 +342,7 @@ def mcmc_tilted_spectrum(
     for i in range(count):
         for _ in range(thin):
             sweep()
-        samples[i] = np.sort(x)
+        samples[i] = sorted(x)
     rate = accepted / max(proposed, 1)
     if rate < 0.01:
         raise NumericalError("the chain degenerated: acceptance below 1%")

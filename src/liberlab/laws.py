@@ -213,9 +213,9 @@ def load_law(source: str | Path | dict) -> ProjectionPairLaw:
 
     The document, as law_to_dict writes it, carries alpha, beta,
     atoms{a11,a10,a01,a00} and a density object {kind, mass, support,
-    edge_exponents}, plus nodes and values for a table.  A declared
-    table mass that disagrees with quadrature by more than 1e-6 is an
-    error; smaller mismatches are rescaled away.
+    edge_exponents}, plus nodes and values for a table.  A declared mass,
+    support or edge exponents that the loaded density does not have is
+    an error; a table mass within 1e-6 of quadrature is rescaled to it.
     """
     if isinstance(source, dict):
         doc = source
@@ -237,6 +237,11 @@ def load_law(source: str | Path | dict) -> ProjectionPairLaw:
         atoms = {key: float(atoms_doc.get(key, 0.0)) for key in ("a11", "a10", "a01", "a00")}
         density_doc = doc.get("density", {"kind": "zero"})
         density = _density_from_dict(density_doc, alpha, beta, 1.0 - sum(atoms.values()))
+        for key in ("mass", "support", "edge_exponents"):
+            have = np.ravel(getattr(density, key))
+            pairs = zip(np.ravel(density_doc.get(key, have)), have, strict=True)
+            if not all(abs(u - v) <= 1e-12 * max(abs(u), abs(v)) for u, v in pairs):
+                raise ValidationError(f"{density.kind} density: {key} {density_doc[key]} contradicts {have}")
     except ValidationError:
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:

@@ -4,7 +4,7 @@ The free eigenvalues of the two-projection model and the particles of
 the liberation flow are the same gas, with pair energy
 sum_{i<j} log|x_i - x_j|.  This module is the one implementation of
 that sum, of its gradient (with the diagonal of its Hessian, which
-bounds the flow's stiffness), of one site's energy against the rest,
+bounds the flow's stiffness), of its change when one site moves,
 and of the difference matrix they are built from.
 The one-body edge and tilt terms stay with the callers because they
 differ for a reason: the flow's velocity keeps the mobility form
@@ -15,6 +15,8 @@ law has a log x + b log(1 - x).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -23,7 +25,7 @@ __all__ = [
     "pair_energy",
     "pair_force",
     "pair_force_curvature",
-    "site_energy",
+    "site_energy_change",
 ]
 
 
@@ -89,16 +91,12 @@ def pair_force_curvature(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(inv, axis=1), np.einsum("ij,ij->i", inv, inv)
 
 
-def site_energy(x: np.ndarray, i: int, y: np.ndarray) -> np.ndarray:
-    """sum_{j != i} log|y - x_j| for each candidate position y of site i.
-
-    One row per candidate, so a Metropolis step scores its proposal and
-    the current position in one call; a scalar y gives a scalar.  -inf,
-    with numpy's divide warning, where y hits another point.  Its blocks
-    have one or two rows, too few for differences to gain on the ufunc.
-    """
-    gaps = np.subtract.outer(y, x)
-    np.abs(gaps, out=gaps)
-    gaps[..., i] = 1.0
-    np.log(gaps, out=gaps)
-    return gaps.sum(axis=-1)
+def site_energy_change(x, i: int, y: float) -> float:
+    """sum_{j != i} log|(y - x_j)/(x_i - x_j)|, pair_energy's change when site i moves to
+    y (-inf on another point), in plain floats: numpy's per-call cost would swamp one site."""
+    xi, total = x[i], 0.0
+    for j, xj in enumerate(x):
+        if j != i:
+            ratio = abs((y - xj) / (xi - xj))
+            total += math.log(ratio) if ratio else -math.inf
+    return total

@@ -1,7 +1,8 @@
-"""Shared test helpers: random generic laws and fixture paths."""
+"""Shared test helpers: random generic laws, fixture paths, bad documents."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,21 @@ from liberlab.densities import table_density
 from liberlab.laws import ProjectionPairLaw, generic_atoms
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _with_density_keys(name: str, **keys) -> dict:
+    doc = json.loads((FIXTURES / name).read_text())
+    doc["density"].update(keys)
+    return doc
+
+
+# law documents whose density keys contradict the density their kind loads
+CONTRADICTING_DOCUMENTS = {
+    "free_pair_support": _with_density_keys("free_half.json", support=[0.2, 0.3], edge_exponents=[3, 3]),
+    "free_pair_mass": _with_density_keys("free_half.json", mass=0.9),
+    "uniform_exponents": _with_density_keys("uniform.json", edge_exponents=[2, 2]),
+    "table_support": _with_density_keys("table_bump.json", support=[0.1, 0.9]),
+}
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, report shape, reproducibility."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ import pytest
 import liberlab.cli as cli
 from liberlab.errors import NumericalError
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from conftest import CONTRADICTING_DOCUMENTS, FIXTURES
+
 UNIFORM = str(FIXTURES / "uniform.json")
 BAD_ATOMS = str(FIXTURES / "bad_atoms.json")
 FREE_HALF = str(FIXTURES / "free_half.json")
@@ -110,6 +110,15 @@ def test_malformed_document_is_a_usage_error(tmp_path, capsys, flag, document):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("name", CONTRADICTING_DOCUMENTS)
+def test_contradicting_law_document_exits_one(tmp_path, capsys, name):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(CONTRADICTING_DOCUMENTS[name]))
+    code, out, err = run(capsys, "chi", "--law", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "contradicts" in err
 
 
 def test_numerical_failure_exits_two(capsys, monkeypatch):

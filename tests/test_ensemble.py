@@ -120,7 +120,11 @@ def test_two_point_model_marginal():
     assert stat.pvalue > 1e-3
 
 
-@pytest.mark.parametrize("model", [(3, 2, 2), (7, 2, 4), (9, 6, 5), (5, 3, 4), (12, 6, 6)])
+@pytest.mark.parametrize(
+    "model",
+    [(3, 2, 2), (7, 2, 4), (9, 6, 5), (5, 3, 4), (12, 6, 6),
+     (2, 1, 1), (4, 2, 2), (5, 3, 2), (6, 1, 2), (4, 3, 1)],
+)
 def test_block_spectra_match_the_dense_pqp_eigenvalues(model):
     spec = EnsembleSpec(*model)
     n0, n1, _ = spec.counts

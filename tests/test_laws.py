@@ -25,7 +25,7 @@ from liberlab.laws import (
     weighted_norm,
 )
 
-from conftest import FIXTURES, random_generic_law
+from conftest import CONTRADICTING_DOCUMENTS, FIXTURES, random_generic_law
 
 
 def make_law(alpha, beta, density, a11=0.0, a10=0.0, a01=0.0, a00=0.0):
@@ -115,6 +115,12 @@ def test_cheb_law_document_does_not_load():
     assert doc["density"]["kind"] == "cheb" and len(doc["density"]["values"]) == 64
     with pytest.raises(ValidationError, match="unknown density kind 'cheb'"):
         load_law(doc)
+
+
+@pytest.mark.parametrize("name", CONTRADICTING_DOCUMENTS)
+def test_load_law_rejects_density_keys_its_kind_contradicts(name):
+    with pytest.raises(ValidationError, match="contradicts"):
+        load_law(CONTRADICTING_DOCUMENTS[name])
 
 
 def test_load_law_rejects_garbage(tmp_path):

@@ -14,7 +14,7 @@ from liberlab.loggas import (
     pair_energy,
     pair_force,
     pair_force_curvature,
-    site_energy,
+    site_energy_change,
 )
 from liberlab.potentials import PsiSpec
 
@@ -90,11 +90,14 @@ def test_site_energy_difference_is_the_pair_energy_change(rng):
     for i, y in [(0, 0.005), (7, 0.5), (15, 0.995)]:
         moved = x.copy()
         moved[i] = y
-        change = site_energy(x, i, y) - site_energy(x, i, x[i])
-        assert change == pytest.approx(pair_energy(moved) - pair_energy(x), rel=1e-12, abs=0.0)
-    # every pair is counted once from each end
-    total = sum(site_energy(x, i, x[i]) for i in range(x.size))
-    assert total == pytest.approx(2.0 * pair_energy(x), rel=1e-12, abs=0.0)
+        expected = pair_energy(moved) - pair_energy(x)
+        assert site_energy_change(x, i, y) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert site_energy_change(x.tolist(), i, y) == site_energy_change(x, i, y)
+
+
+def test_site_energy_change_is_minus_infinity_on_another_point():
+    x = [0.2, 0.4, 0.7]
+    assert site_energy_change(x, 0, 0.7) == -np.inf
 
 
 def test_flow_matches_the_recorded_run():
@@ -113,10 +116,17 @@ def test_flow_agrees_with_the_rk4_run_within_its_energy_gap():
     assert abs(rep.value - 0.029505427292127535) <= 1.0e-5
 
 
-def test_metropolis_chain_matches_the_recorded_run():
-    rec = ORACLE["mcmc"]
+def _check_recorded_chain(rec):
     spec = EnsembleSpec(rec["N"], rec["k"], rec["l"], PsiSpec(tuple(rec["psi"])))
     chain = mcmc_tilted_spectrum(spec, rec["seed"], count=rec["count"], burn_in=rec["burn_in"])
     np.testing.assert_allclose(chain.samples, rec["samples"], rtol=1e-12, atol=0.0)
     assert chain.acceptance == pytest.approx(rec["acceptance"], rel=1e-12, abs=0.0)
     assert chain.autocorr_time == pytest.approx(rec["tau"], rel=1e-12, abs=0.0)
+
+
+def test_metropolis_chain_matches_the_recorded_run():
+    _check_recorded_chain(ORACLE["mcmc"])
+
+
+def test_metropolis_chain_matches_the_recorded_run_at_benchmark_size():
+    _check_recorded_chain(ORACLE["mcmc_bench"])
