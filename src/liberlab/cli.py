@@ -75,11 +75,18 @@ def _emit_json(report: dict, args: argparse.Namespace) -> None:
     _write(json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n", args)
 
 
-def _emit_csv(header: list[str], rows, args: argparse.Namespace) -> None:
+def _emit_csv(
+    header: list[str], rows, args: argparse.Namespace, notes: dict | None = None
+) -> None:
+    """CSV report: a "# liberlab" line with the configuration, then one
+    "# key {json}" line per entry of notes, then the header and rows."""
     from . import __version__
 
     meta = json.dumps(_sanitize(vars(args)), sort_keys=True)
-    lines = [f"# liberlab {__version__} {meta}", ",".join(header)]
+    lines = [f"# liberlab {__version__} {meta}"]
+    for key, note in (notes or {}).items():
+        lines.append(f"# {key} {json.dumps(_sanitize(note, key), sort_keys=True)}")
+    lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
     _write("\n".join(lines) + "\n", args)
@@ -276,7 +283,13 @@ def _cmd_liberate(args: argparse.Namespace) -> None:
     diag = flow_diagnostics(state)
     columns = (diag.t, diag.chi, diag.phi_star, diag.half_integral)
     rows = zip(*(map(float, col) for col in columns))
-    _emit_csv(["t", "chi", "phi_star", "half_integral"], rows, args)
+    _emit_csv(["t", "chi", "phi_star", "half_integral"], rows, args, {"flow": _flow_run(diag)})
+
+
+def _flow_run(run) -> dict:
+    """How a flow ran, read off its FlowDiagnostics or IstarReport."""
+    names = ("steps", "rejected_steps", "evals", "dt_min", "dt_max", "min_gap", "energy_gap")
+    return {name: getattr(run, name) for name in names}
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> None:
@@ -330,13 +343,7 @@ def _cmd_istar(args: argparse.Namespace) -> None:
             "decay_rate": report.decay_rate,
             "lower_bound_only": report.lower_bound_only,
             "floored": report.floored,
-            "steps": report.steps,
-            "rejected_steps": report.rejected_steps,
-            "evals": report.evals,
-            "dt_min": report.dt_min,
-            "dt_max": report.dt_max,
-            "min_gap": report.min_gap,
-            "energy_gap": report.energy_gap,
+            **_flow_run(report),
         },
         args,
     )

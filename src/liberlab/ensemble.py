@@ -29,7 +29,6 @@ __all__ = [
     "McmcResult",
     "MatrixLsiReport",
     "structural_multiplicities",
-    "log_density",
     "sample_spectra",
     "selberg_log_z0",
     "log_z_quadrature",
@@ -89,7 +88,7 @@ def structural_multiplicities(n_dim: int, k: int, l: int) -> tuple[int, int, int
     return n0, n1, n_dim - n0 - n1
 
 
-def log_density(xs, spec: EnsembleSpec) -> float:
+def _log_density(xs, spec: EnsembleSpec) -> float:
     """Unnormalized log joint density of the free eigenvalues.
 
     sum_i [a log x_i + b log(1-x_i) - N psi(x_i)] + 2 sum_{i<j}

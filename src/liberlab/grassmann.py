@@ -22,8 +22,6 @@ __all__ = [
     "GrassmannPoint",
     "TangentVector",
     "GradReport",
-    "hs_inner",
-    "hs_norm",
     "model_projection",
     "haar_unitary",
     "sample_haar_projection",
@@ -42,12 +40,12 @@ _EIGENVALUE_SLACK = 1e-8
 _PROBE_ENTRIES = 1 << 18
 
 
-def hs_inner(x: np.ndarray, y: np.ndarray) -> float:
+def _hs_inner(x: np.ndarray, y: np.ndarray) -> float:
     """Real Hilbert-Schmidt inner product Re Tr(X Y*)."""
     return float(np.real(np.sum(x * np.conj(y))))
 
 
-def hs_norm(x: np.ndarray) -> float:
+def _hs_norm(x: np.ndarray) -> float:
     """Hilbert-Schmidt norm with the unnormalized trace."""
     return float(np.linalg.norm(x))
 

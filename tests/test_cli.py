@@ -320,10 +320,22 @@ def test_liberate_csv_columns(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[1] == "t,chi,phi_star,half_integral"
-    first = lines[2].split(",")
+    assert lines[0].startswith("# liberlab ")
+    # the flow line carries the istar JSON's run fields, by the same names
+    code, istar_out, _ = run(capsys, "istar", "--law", UNIFORM, "--particles", "16", "--tmax", "0.5")
+    assert code == 0
+    report = json.loads(istar_out)
+    assert lines[1].startswith("# flow {")
+    flow = json.loads(lines[1][len("# flow "):])
+    names = ["steps", "rejected_steps", "evals", "dt_min", "dt_max", "min_gap", "energy_gap"]
+    assert sorted(flow) == sorted(names)
+    assert flow == {name: report[name] for name in names}
+    table = [line for line in lines if not line.startswith("#")]
+    assert table[0] == "t,chi,phi_star,half_integral"
+    assert len(table) == 2 + flow["steps"]
+    first = table[1].split(",")
     assert float(first[0]) == 0.0
-    last = lines[-1].split(",")
+    last = table[-1].split(",")
     assert float(last[0]) == pytest.approx(0.5, abs=1e-9)
     assert float(last[1]) >= float(first[1])
 
@@ -420,7 +432,7 @@ def test_istar_reports_how_the_flow_ran(capsys):
     report = json.loads(out)
     rep = istar(load_law(UNIFORM), 16, 0.05)
     # steps counts accepted steps, not the t = 0 record
-    assert report["steps"] == len(rep.state.history) - 1 == 13
+    assert report["steps"] == len(rep.state.history) - 1 == 9
     assert report["rejected_steps"] == rep.rejected_steps
     # one pair sum at the start, then at least two per accepted step
     assert report["evals"] == rep.evals >= 1 + 2 * report["steps"]

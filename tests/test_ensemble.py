@@ -10,7 +10,8 @@ from scipy.stats import ks_2samp, kstest
 
 from liberlab.ensemble import (
     EnsembleSpec,
-    log_density,
+    _log_density,
+    _small_frame_spectra,
     log_z_quadrature,
     lsi_matrix_report,
     mcmc_tilted_spectrum,
@@ -51,11 +52,11 @@ def test_log_density_terms():
         a * (np.log(0.3) + np.log(0.7))
         + 2.0 * np.log(0.4)
     )
-    assert log_density(xs, spec) == pytest.approx(expected, rel=1e-14)
-    assert log_density(np.array([0.4, 0.4]), spec) == -math.inf
-    assert log_density(np.array([-0.1]), spec) == -math.inf
+    assert _log_density(xs, spec) == pytest.approx(expected, rel=1e-14)
+    assert _log_density(np.array([0.4, 0.4]), spec) == -math.inf
+    assert _log_density(np.array([-0.1]), spec) == -math.inf
     tilted = EnsembleSpec(5, 2, 3, PsiSpec((0.0, 1.0)))
-    assert log_density(xs, tilted) == pytest.approx(expected - 5.0, rel=1e-12)
+    assert _log_density(xs, tilted) == pytest.approx(expected - 5.0, rel=1e-12)
 
 
 def test_selberg_constant_matches_quadrature():
@@ -136,6 +137,20 @@ def test_block_spectra_match_the_dense_pqp_eigenvalues(model):
     dense = np.linalg.eigvalsh(p @ q @ p)
     np.testing.assert_allclose(draws, dense[:, n0 : spec.N - n1], rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(dense[:, :n0], 0.0, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [3, 5, 8])
+def test_small_frames_stay_orthonormal_for_nearly_parallel_columns(rng, N):
+    """With k = N, B is the whole frame and B* B the identity.  A second
+    column within 1e-8 of the first loses about eight digits to one
+    Gram-Schmidt projection; the second pass restores them."""
+    shape = (256, N)
+    first = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = np.stack((first, first + 1e-8 * noise), axis=-1)
+    vals = _small_frame_spectra(g, N)
+    assert vals.shape == (256, 2)
+    np.testing.assert_allclose(vals, 1.0, rtol=0.0, atol=1e-14)
 
 
 def _two_frame_spectra(spec, trials, seed):

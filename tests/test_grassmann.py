@@ -9,14 +9,14 @@ from liberlab.errors import NumericalError, ValidationError
 from liberlab.grassmann import (
     GrassmannPoint,
     TangentVector,
+    _hs_inner,
+    _hs_norm,
     _stacked_trace_psi,
     apply_spectral,
     exp_normal_coordinate,
     grad_norm_trace_fn,
     haar_unitary,
     hessian_fd,
-    hs_inner,
-    hs_norm,
     model_projection,
     projection_point,
     ricci_quadratic_form,
@@ -37,7 +37,7 @@ def test_tangent_basis_is_orthonormal():
     for n, k in [(3, 1), (5, 2), (6, 3)]:
         basis = tangent_basis(n, k)
         assert len(basis) == 2 * k * (n - k)
-        gram = np.array([[hs_inner(a.X, b.X) for b in basis] for a in basis])
+        gram = np.array([[_hs_inner(a.X, b.X) for b in basis] for a in basis])
         assert np.allclose(gram, np.eye(len(basis)), atol=1e-14)
 
 
@@ -214,7 +214,7 @@ def test_haar_sampling_is_conjugation_invariant():
 def test_frame_adapts_to_the_projection():
     p = sample_haar_projection(5, 2, 77)
     u = p.frame
-    assert hs_norm(u @ model_projection(5, 2) @ u.conj().T - p.P) <= 1e-12
+    assert _hs_norm(u @ model_projection(5, 2) @ u.conj().T - p.P) <= 1e-12
 
 
 # ---------------------------------------------------------------- per-probe reference

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from liberlab import liberation
 from liberlab.densities import uniform_density, w1_empirical_to_density
 from liberlab.entropy import chi_proj
 from liberlab.errors import NumericalError, ValidationError
 from liberlab.laws import ProjectionPairLaw, free_pair_law
 from liberlab.liberation import (
+    FlowRecord,
     FlowState,
     _chi_hat,
+    _fisher_area,
     _phi_hat,
     _step_ok,
     _tail_integral,
@@ -129,18 +132,58 @@ def test_step_collapse_reports_the_partial_state():
     assert info.value.state.min_gap == pytest.approx(1e-15, rel=0.2)
 
 
-def test_flow_bookkeeping_accumulates_across_calls():
-    # by t = 4 the end particles of the n = 64 flow sit within rounding of
-    # 0 and 1, and a step whose proposal rounds one onto an end is rejected
+def test_flow_bookkeeping_accumulates_across_calls(monkeypatch):
+    # the first proposal of each call fails the step check, so both legs
+    # reject at least one step whatever the step sequence
+    calls = []
+
+    def first_fails(proposal):
+        calls.append(None)
+        return len(calls) > 1 and _step_ok(proposal)
+
+    monkeypatch.setattr(liberation, "_step_ok", first_fails)
     start = init_flow(UNIFORM, 64)
     assert (start.rejected_steps, start.evals, start.min_gap) == (0, 0, np.inf)
     first = flow_evolve(start, 4.0)
+    calls.clear()
     both = flow_evolve(first, 8.0)
     assert 0 < first.rejected_steps < both.rejected_steps
     # every accepted step evaluates the pair sum at least twice
     assert 1 + 2 * (len(first.history) - 1) <= first.evals < both.evals
     assert 0.0 < first.min_gap <= np.diff(start.particles).min()
     assert both.min_gap <= min(first.min_gap, np.diff(both.particles).min())
+
+
+def test_running_fisher_integral_is_exact_for_a_quadratic():
+    """After the first step, each increment integrates the quadratic
+    through the last three records, so a quadratic phi(t) comes out
+    exact on nonuniform steps; the first step is the trapezoid."""
+    t = np.array([0.0, 0.1, 0.13, 0.4, 0.55, 1.2, 1.25, 1.7])
+    phi = 3.0 - 2.0 * t + 5.0 * t**2
+    exact = 3.0 * t - t**2 + 5.0 * t**3 / 3.0
+    records = [FlowRecord(float(a), 0.0, float(b), 0.0) for a, b in zip(t, phi)]
+    area = _fisher_area(None, records[0], t[1], phi[1])
+    assert area == 0.5 * (phi[0] + phi[1]) * t[1]
+    for k in range(2, t.size):
+        area = _fisher_area(records[k - 2], records[k - 1], t[k], phi[k])
+        assert area == pytest.approx(exact[k] - exact[k - 1], rel=1e-14, abs=0.0)
+
+
+def test_a_resumed_flow_takes_the_trapezoid_after_a_clipped_step():
+    """A call that ends on a short clipped step leaves h1 tiny; the next
+    call's first step (dt = 1e-3) is over ten times longer and falls back
+    to the trapezoid, and the step after it takes the three-point rule."""
+    clipped = flow_evolve(flow_evolve(init_flow(UNIFORM, 32), 0.5), 0.5 + 1e-6)
+    k = len(clipped.history) - 1
+    resumed = flow_evolve(clipped, 0.52)
+    prev, last, new, after = resumed.history[k - 1 : k + 3]
+    assert new.t - last.t > 10.0 * (last.t - prev.t)
+    trapezoid = 0.25 * (new.phi_hat + last.phi_hat) * (new.t - last.t)
+    assert new.half_integral == last.half_integral + trapezoid
+    assert after.t - new.t <= 10.0 * (new.t - last.t)
+    three_point = 0.5 * _fisher_area(last, new, after.t, after.phi_hat)
+    assert after.half_integral == new.half_integral + three_point
+    assert three_point != 0.25 * (after.phi_hat + new.phi_hat) * (after.t - new.t)
 
 
 def test_step_check_rejects_nan():
