@@ -4,11 +4,14 @@ The eigenvalues of PQP for independent rank-k and rank-l projections in
 dimension N split into structural batches pinned at 0 and 1 plus n free
 points in (0,1) whose joint law is a Jacobi-type log-gas, optionally
 tilted by exp(-N sum psi(x_i)).  The module provides the exact counts,
-the unnormalized log density, direct and Markov-chain samplers, the
-Selberg constant, and the orthogonal polynomials of the tilted weight,
-which give the normalization and the one-point density exactly and
-with them the relative-entropy versus Dirichlet-form comparison for
-the tilted model.
+the unnormalized log density, a direct sampler from the exact
+tridiagonal model of the untilted log-gas (Killip & Nenciu, IMRN 2004;
+Edelman & Sutton, FoCM 8, 2008), a Markov-chain sampler for the tilted
+one, the Selberg constant, and the orthogonal polynomials of the tilted
+weight, which give the normalization and the one-point density exactly
+and with them the relative-entropy versus Dirichlet-form comparison for
+the tilted model.  Haar draws of the matrices themselves live in
+grassmann and serve the tests as the reference law.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import betaln, gammaln, xlogy
 
 from .errors import NumericalError, ValidationError
-from .grassmann import haar_unitary
 from .loggas import pair_energy, site_energy_change
 
 __all__ = [
@@ -36,8 +38,7 @@ __all__ = [
     "lsi_matrix_report",
 ]
 
-_STRUCTURAL_TOL = 1e-8
-_BATCH = 512
+_BATCH_ENTRIES = 1 << 20  # dense Jacobi-matrix entries per eigvalsh call: 8 MB
 
 
 @dataclass(frozen=True)
@@ -110,55 +111,47 @@ def _log_density(xs, spec: EnsembleSpec) -> float:
 
 
 def sample_spectra(spec: EnsembleSpec, trials: int, seed) -> np.ndarray:
-    """Nontrivial PQP eigenvalues for many independent pairs at once.
+    """Free PQP eigenvalues for many independent Haar pairs at once.
 
     Returns an array of shape (trials, n), each row sorted increasing.
-    The spectrum of PQP does not change when P and Q are conjugated by
-    one unitary, so P is the model projection onto the first k
-    coordinates and only Q = W W* is drawn, from a Haar frame W (N x l).
-    The nonzero spectrum of PQP is then the squared singular values of
-    the top k x l block B of W, which are the eigenvalues of the smaller
-    of the Gram matrices B B* and B* B, so the N - min(k, l) zero
-    eigenvalues are never formed and need no check.  Draws run on
-    stacked arrays in batches, which is what makes 1e5 draws at small N
-    affordable.  The k + l - N structural eigenvalues must sit at 1
-    within tolerance or the draw is rejected as a solver failure.
+    The free eigenvalues are the beta = 2 Jacobi ensemble with exponents
+    (a, b) = spec.exponents, which is drawn from its exact tridiagonal
+    model (Killip & Nenciu, IMRN 2004; Edelman & Sutton, FoCM 8, 2008):
+    2n - 1 independent Beta variables alpha_j give a Jacobi matrix with
+    spectrum x in [-2, 2], and lambda = (2 - x)/4.  The draw depends on
+    (n, a, b) only, so (k, l) -> (l, k) and (k, l) -> (N - k, N - l)
+    give the same draws for the same seed.  No N x N or N x l matrix is
+    formed; the tests check the law against PQP spectra of Haar frames.
+    Jacobi matrices are stacked into batches of at most _BATCH_ENTRIES
+    dense entries.
     """
     if spec.psi is not None:
         raise ValidationError("direct sampling is only defined for the untilted model")
-    _, n1, n = spec.counts
+    if trials < 0:
+        raise ValidationError("trials must be nonnegative")
+    a, b = spec.exponents
+    n = spec.counts[2]
     rng = np.random.default_rng(seed)
-    tol = max(_STRUCTURAL_TOL, spec.N * 64 * np.finfo(float).eps)
-    rows = []
-    for start in range(0, trials, _BATCH):
-        t = min(_BATCH, trials - start)
-        shape = (t, spec.N, spec.l)
-        if spec.l <= 2:  # haar_unitary's draw, orthonormalised in _small_frame_spectra
-            vals = _small_frame_spectra(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), spec.k)
-        else:
-            b = haar_unitary(spec.N, rng, (t,), spec.l)[:, : spec.k, :]
-            bh = np.conjugate(np.swapaxes(b, -1, -2))
-            vals = np.linalg.eigvalsh(b @ bh if spec.k <= spec.l else bh @ b)
-        if n1 and float(np.max(np.abs(vals[:, n:] - 1.0))) > tol:
-            raise NumericalError("structural unit eigenvalues stray beyond tolerance")
-        rows.append(np.clip(vals[:, :n], 0.0, 1.0))
-    return np.concatenate(rows, axis=0)
-
-
-def _small_frame_spectra(g: np.ndarray, k: int) -> np.ndarray:
-    """Ascending top min(k, l) eigenvalues of B* B, B the top k rows of the frames that Gram-Schmidt
-    (run twice) makes of Ginibre blocks g, N x l with l <= 2, in closed form: no call per matrix."""
-    q = g[..., 0] / np.sqrt(np.vecdot(g[..., 0], g[..., 0]).real)[:, None]
-    a = np.vecdot(q[:, :k], q[:, :k]).real
-    if g.shape[-1] == 1:
-        return a[:, None]
-    v = g[..., 1]
-    for _ in range(2):
-        v = v - q * np.vecdot(q, v)[:, None]
-    v = v[:, :k] / np.sqrt(np.vecdot(v, v).real)[:, None]
-    d = np.vecdot(v, v).real
-    mid, half = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(np.vecdot(q[:, :k], v)))
-    return np.stack((mid - half, mid + half), axis=-1)[:, 2 - min(k, 2) :]
+    # alpha_j = 2 Y_j - 1 with Y_j ~ Beta(t_j, s_j), j = 0 .. 2n - 2, and alpha_{-1} = -1
+    half, parity = np.divmod(np.arange(2 * n - 1), 2)
+    shape_t = np.where(parity, n - half - 1, n - half + b)
+    shape_s = np.where(parity, n - half + a + b, n - half + a)
+    idx = np.arange(n)
+    out = np.empty((trials, n))
+    step = max(1, _BATCH_ENTRIES // (n * n))
+    for start in range(0, trials, step):
+        m = min(step, trials - start)
+        alpha = 2.0 * rng.beta(shape_t, shape_s, size=(m, 2 * n - 1)) - 1.0
+        even = alpha[:, ::2]
+        odd = np.concatenate((np.full((m, 1), -1.0), alpha[:, 1::2]), axis=1)
+        diag = (1.0 - odd) * even
+        diag[:, 1:] -= (1.0 + odd[:, 1:]) * even[:, :-1]
+        jac = np.zeros((m, n, n))
+        jac[:, idx, idx] = diag
+        # eigvalsh reads the lower triangle
+        jac[:, idx[1:], idx[:-1]] = np.sqrt((1.0 - odd[:, :-1]) * (1.0 - even[:, :-1] ** 2) * (1.0 + odd[:, 1:]))
+        out[start : start + m] = np.clip(0.5 - 0.25 * np.linalg.eigvalsh(jac)[:, ::-1], 0.0, 1.0)
+    return out
 
 
 def selberg_log_z0(spec: EnsembleSpec) -> float:

@@ -48,7 +48,6 @@ __all__ = [
     "constant_C",
     "chi_proj",
     "rate_function",
-    "equilibrium_objective",
     "equilibrium_solve",
     "equilibrium_field",
     "tau_of_potential",
@@ -214,7 +213,7 @@ def _objective(masses: np.ndarray, w: np.ndarray, minus_energy: Callable) -> flo
     return -0.25 * float(np.dot(masses, minus_energy(masses))) + 0.5 * float(np.dot(masses, w))
 
 
-def equilibrium_objective(
+def _equilibrium_objective(
     alpha: float, beta: float, h: PotentialSpec | None, masses: np.ndarray
 ) -> float:
     """Discrete objective (1/4)Sigma + (1/2)sum(masses*tilt) on node masses.

@@ -22,7 +22,6 @@ __all__ = [
     "GrassmannPoint",
     "TangentVector",
     "GradReport",
-    "model_projection",
     "haar_unitary",
     "sample_haar_projection",
     "projection_point",
@@ -50,7 +49,7 @@ def _hs_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def model_projection(n: int, k: int) -> np.ndarray:
+def _model_projection(n: int, k: int) -> np.ndarray:
     """Diagonal projection onto the first k coordinates."""
     p = np.zeros((n, n), dtype=complex)
     p[np.arange(k), np.arange(k)] = 1.0

@@ -14,7 +14,6 @@ __all__ = [
     "PotentialSpec",
     "zero_potential",
     "poly_potential",
-    "cosine_potential",
     "load_potential",
     "PsiSpec",
     "parse_psi",
@@ -108,7 +107,7 @@ def poly_potential(coeffs, atom_values=(0.0, 0.0, 0.0, 0.0)) -> PotentialSpec:
     return PotentialSpec("poly", tuple(coeffs), tuple(atom_values))
 
 
-def cosine_potential(coeffs, atom_values=(0.0, 0.0, 0.0, 0.0)) -> PotentialSpec:
+def _cosine_potential(coeffs, atom_values=(0.0, 0.0, 0.0, 0.0)) -> PotentialSpec:
     return PotentialSpec("cosine", tuple(coeffs), tuple(atom_values))
 
 

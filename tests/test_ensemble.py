@@ -11,7 +11,6 @@ from scipy.stats import ks_2samp, kstest
 from liberlab.ensemble import (
     EnsembleSpec,
     _log_density,
-    _small_frame_spectra,
     log_z_quadrature,
     lsi_matrix_report,
     mcmc_tilted_spectrum,
@@ -121,6 +120,26 @@ def test_two_point_model_marginal():
     assert stat.pvalue > 1e-3
 
 
+def _haar_pqp_spectra(spec, trials, seed):
+    """Dense spectra of PQP, ascending, with P the model projection onto the
+    first k coordinates and Q = W W* for a Haar frame W (N x l)."""
+    rng = np.random.default_rng(seed)
+    p = np.diag(np.arange(spec.N) < spec.k).astype(complex)
+    rows = []
+    for start in range(0, trials, 2000):
+        w = haar_unitary(spec.N, rng, (min(2000, trials - start),), spec.l)
+        q = w @ np.conjugate(np.swapaxes(w, -1, -2))
+        rows.append(np.linalg.eigvalsh(p @ q @ p))
+    return np.concatenate(rows)
+
+
+def _assert_same_ordered_laws(draws, reference):
+    assert draws.shape == reference.shape
+    # each ordered eigenvalue is independent across draws
+    for j in range(draws.shape[1]):
+        assert ks_2samp(draws[:, j], reference[:, j]).pvalue > 1e-3, j
+
+
 @pytest.mark.parametrize(
     "model",
     [(3, 2, 2), (7, 2, 4), (9, 6, 5), (5, 3, 4), (12, 6, 6),
@@ -129,28 +148,24 @@ def test_two_point_model_marginal():
 def test_block_spectra_match_the_dense_pqp_eigenvalues(model):
     spec = EnsembleSpec(*model)
     n0, n1, _ = spec.counts
-    draws = sample_spectra(spec, 50, seed=11)
-    # the same stream: P is the model projection, Q = W W* for one Haar frame
-    w = haar_unitary(spec.N, np.random.default_rng(11), (50,), spec.l)
-    p = np.diag(np.arange(spec.N) < spec.k).astype(complex)
-    q = w @ np.conjugate(np.swapaxes(w, -1, -2))
-    dense = np.linalg.eigvalsh(p @ q @ p)
-    np.testing.assert_allclose(draws, dense[:, n0 : spec.N - n1], rtol=0.0, atol=1e-13)
+    dense = _haar_pqp_spectra(spec, 4000, seed=11)
     np.testing.assert_allclose(dense[:, :n0], 0.0, rtol=0.0, atol=1e-13)
+    _assert_same_ordered_laws(sample_spectra(spec, 4000, seed=12), dense[:, n0 : spec.N - n1])
 
 
-@pytest.mark.parametrize("N", [3, 5, 8])
-def test_small_frames_stay_orthonormal_for_nearly_parallel_columns(rng, N):
-    """With k = N, B is the whole frame and B* B the identity.  A second
-    column within 1e-8 of the first loses about eight digits to one
-    Gram-Schmidt projection; the second pass restores them."""
-    shape = (256, N)
-    first = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    g = np.stack((first, first + 1e-8 * noise), axis=-1)
-    vals = _small_frame_spectra(g, N)
-    assert vals.shape == (256, 2)
-    np.testing.assert_allclose(vals, 1.0, rtol=0.0, atol=1e-14)
+@pytest.mark.parametrize("model", [(5, 3, 4), (7, 2, 4), (9, 6, 5), (21, 10, 10)])
+def test_jacobi_model_draws_have_the_haar_law_at_many_draws(model):
+    """k != l, k + l > N, k + l < N, and n = 10 free points."""
+    spec = EnsembleSpec(*model)
+    n0, n1, _ = spec.counts
+    dense = _haar_pqp_spectra(spec, 20_000, seed=31)
+    _assert_same_ordered_laws(sample_spectra(spec, 20_000, seed=32), dense[:, n0 : spec.N - n1])
+
+
+def test_zero_trials_give_an_empty_array():
+    assert sample_spectra(EnsembleSpec(7, 2, 4), 0, seed=0).shape == (0, 2)
+    with pytest.raises(ValidationError):
+        sample_spectra(EnsembleSpec(7, 2, 4), -1, seed=0)
 
 
 def _two_frame_spectra(spec, trials, seed):

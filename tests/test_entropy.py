@@ -12,13 +12,13 @@ from liberlab import entropy
 from liberlab.densities import density_values, free_pair_density, uniform_density
 from liberlab.entropy import (
     _energy_operators,
+    _equilibrium_objective,
     _nodes_on_unit,
     _tilt_values,
     b_function,
     chi_proj,
     constant_C,
     equilibrium_field,
-    equilibrium_objective,
     equilibrium_solve,
     rate_function,
     relative_sigma_h,
@@ -348,7 +348,7 @@ def test_equilibrium_objective_matches_the_dense_quadratic(m):
     energy = -masses @ _minus_energy_matrix(m, every, every) @ masses
     tilt = masses @ _tilt_values(free_pair_law(0.3, 0.6), h, _nodes_on_unit(m)[1])
     want = 0.25 * energy + 0.5 * tilt
-    got = equilibrium_objective(0.3, 0.6, h, masses)
+    got = _equilibrium_objective(0.3, 0.6, h, masses)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -359,9 +359,9 @@ def test_equilibrium_objective_concavity():
     m2 = rng.random(257)
     m1 *= 1.0 / m1.sum()
     m2 *= 1.0 / m2.sum()
-    f1 = equilibrium_objective(0.5, 0.5, h, m1)
-    f2 = equilibrium_objective(0.5, 0.5, h, m2)
-    fmid = equilibrium_objective(0.5, 0.5, h, 0.5 * (m1 + m2))
+    f1 = _equilibrium_objective(0.5, 0.5, h, m1)
+    f2 = _equilibrium_objective(0.5, 0.5, h, m2)
+    fmid = _equilibrium_objective(0.5, 0.5, h, 0.5 * (m1 + m2))
     assert fmid >= 0.5 * (f1 + f2) - 1e-10
 
 

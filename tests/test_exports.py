@@ -34,7 +34,7 @@ def test_every_listed_name_is_the_module_object():
 def test_package_list_is_the_union_of_the_module_lists():
     union = set().union(*(module.__all__ for module in MODULES))
     assert set(liberlab.__all__) == {"__version__", *EXCEPTIONS, *union}
-    assert len(liberlab.__all__) == len(set(liberlab.__all__)) == 89
+    assert len(liberlab.__all__) == len(set(liberlab.__all__)) == 86
 
 
 def test_readme_quick_start_runs():

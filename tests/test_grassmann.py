@@ -11,13 +11,13 @@ from liberlab.grassmann import (
     TangentVector,
     _hs_inner,
     _hs_norm,
+    _model_projection,
     _stacked_trace_psi,
     apply_spectral,
     exp_normal_coordinate,
     grad_norm_trace_fn,
     haar_unitary,
     hessian_fd,
-    model_projection,
     projection_point,
     ricci_quadratic_form,
     sample_haar_projection,
@@ -96,7 +96,7 @@ def test_exp_initial_velocity_is_the_commutator():
     p = sample_haar_projection(n, k, rng)
     x, _ = random_tangent(n, k, rng)
     u = p.frame
-    pk = model_projection(n, k)
+    pk = _model_projection(n, k)
     velocity = u @ (x.X @ pk - pk @ x.X) @ u.conj().T
     s = 1e-6
     plus = exp_normal_coordinate(p, TangentVector(s * x.X, k)).P
@@ -137,7 +137,7 @@ def test_projection_point_recovers_rank_and_frame():
     assert wrapped.k == 4
     u = wrapped.frame
     assert np.allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
-    assert np.allclose(u @ model_projection(6, 4) @ u.conj().T, p.P, atol=1e-10)
+    assert np.allclose(u @ _model_projection(6, 4) @ u.conj().T, p.P, atol=1e-10)
 
 
 def test_two_by_two_gradient_worked_value():
@@ -214,7 +214,7 @@ def test_haar_sampling_is_conjugation_invariant():
 def test_frame_adapts_to_the_projection():
     p = sample_haar_projection(5, 2, 77)
     u = p.frame
-    assert _hs_norm(u @ model_projection(5, 2) @ u.conj().T - p.P) <= 1e-12
+    assert _hs_norm(u @ _model_projection(5, 2) @ u.conj().T - p.P) <= 1e-12
 
 
 # ---------------------------------------------------------------- per-probe reference

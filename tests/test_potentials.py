@@ -7,7 +7,7 @@ from liberlab.errors import ValidationError
 from liberlab.potentials import (
     PotentialSpec,
     PsiSpec,
-    cosine_potential,
+    _cosine_potential,
     load_potential,
     parse_psi,
     poly_potential,
@@ -34,7 +34,7 @@ def test_poly_potential_values_and_derivatives():
 
 
 def test_cosine_potential_derivatives_match_fd():
-    h = cosine_potential((0.3, -0.2))
+    h = _cosine_potential((0.3, -0.2))
     x = np.linspace(0.05, 0.95, 9)
     eps = 1e-6
     fd = (h.value(x + eps) - h.value(x - eps)) / (2 * eps)

@@ -1,11 +1,13 @@
-"""Symmetries of the pair: replacing Q by I - Q, and swapping P and Q."""
+"""Symmetries of the pair: replacing Q by I - Q, P by I - P, and swapping P and Q."""
 
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from liberlab.densities import table_density
+from liberlab.ensemble import EnsembleSpec, sample_spectra
 from liberlab.entropy import chi_proj, equilibrium_solve
 from liberlab.fisher import EMPIRICAL_C1, EMPIRICAL_C2, check_lsi, phi_star
 from liberlab.laws import ProjectionPairLaw
@@ -115,3 +117,28 @@ def test_reflection_leaves_istar_unchanged(flow_laws):
         mirror = istar(reflect(law), 128, 4.0, 1024)
         assert mirror.steps == rep.steps
         assert mirror.value == pytest.approx(rep.value, rel=1e-6, abs=0.0)
+
+
+SAMPLE_MODELS = [(7, 2, 4), (9, 6, 5), (12, 5, 3), (10, 4, 4)]
+
+
+@pytest.mark.parametrize("model", SAMPLE_MODELS)
+def test_swap_and_both_complements_leave_sample_unchanged_bit_for_bit(model):
+    """(k, l) -> (l, k) and (k, l) -> (N - k, N - l) keep n, a = |k - l| and
+    b = |k + l - N|, which are all the draw depends on."""
+    n_dim, k, l = model
+    want = sample_spectra(EnsembleSpec(n_dim, k, l), 500, seed=3)
+    for ranks in [(l, k), (n_dim - k, n_dim - l), (n_dim - l, n_dim - k)]:
+        assert np.array_equal(sample_spectra(EnsembleSpec(n_dim, *ranks), 500, seed=3), want), ranks
+
+
+@pytest.mark.parametrize("model", SAMPLE_MODELS)
+def test_complementing_p_mirrors_sample(model):
+    """P -> I - P (k -> N - k) swaps a and b, and the free spectrum goes to
+    1 - x: each ordered eigenvalue against its mirror, by two-sample KS."""
+    n_dim, k, l = model
+    draws = sample_spectra(EnsembleSpec(n_dim, n_dim - k, l), 4000, seed=4)
+    mirror = 1.0 - sample_spectra(EnsembleSpec(n_dim, k, l), 4000, seed=5)[:, ::-1]
+    assert draws.shape == mirror.shape
+    for j in range(draws.shape[1]):
+        assert ks_2samp(draws[:, j], mirror[:, j]).pvalue > 1e-3, j
